@@ -1,9 +1,10 @@
-"""Incremental row echelon over small prime fields.
+"""Incremental row echelon over F_p on sparse vectors.
 
-Vectors over F_2 are single big-int bitmasks; vectors over F_3 are pairs of
-residue masks (bit set in the first mask = coefficient 1, in the second = 2);
-other primes fall back to sparse index->coefficient dicts.  Python big-int
-bitwise ops keep the F_2/F_3 paths fast at the dimensions this package needs.
+A vector is a dict mapping column index to a nonzero coefficient in [1, p);
+the zero vector is the empty dict.  Both a_e routes build rows with only a
+handful of entries (one per generator term that lands inside the box), while
+their column space is #gens * q^n wide.  A sparse row costs what it holds; a
+dense bitmask would cost the full width on every row operation.
 """
 
 from __future__ import annotations
@@ -11,33 +12,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 
-def _f3_add(a, b):
-    a1, a2 = a
-    b1, b2 = b
-    na = a1 | a2
-    nb = b1 | b2
-    c1 = (b1 ^ (b1 & na)) | (a1 ^ (a1 & nb)) | (a2 & b2)
-    c2 = (b2 ^ (b2 & na)) | (a2 ^ (a2 & nb)) | (a1 & b1)
-    return c1, c2
-
-
-def vector_from_items(p: int, items: Iterable[Tuple[int, int]]):
+def vector_from_items(p: int, items: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Build a vector from (index, coefficient) pairs; indices may repeat."""
-    if p == 2:
-        m = 0
-        for idx, c in items:
-            if c % 2:
-                m ^= 1 << idx
-        return m
-    if p == 3:
-        v = (0, 0)
-        for idx, c in items:
-            c %= 3
-            if c == 1:
-                v = _f3_add(v, (1 << idx, 0))
-            elif c == 2:
-                v = _f3_add(v, (0, 1 << idx))
-        return v
     out: Dict[int, int] = {}
     for idx, c in items:
         v = (out.get(idx, 0) + c) % p
@@ -46,14 +22,6 @@ def vector_from_items(p: int, items: Iterable[Tuple[int, int]]):
         else:
             out.pop(idx, None)
     return out
-
-
-def vector_is_zero(p: int, vec) -> bool:
-    if p == 2:
-        return vec == 0
-    if p == 3:
-        return vec == (0, 0)
-    return not vec
 
 
 class Echelon:
@@ -67,58 +35,21 @@ class Echelon:
     def __init__(self, p: int, track: bool = False):
         self.p = p
         self.track = track
-        self.pivots: Dict[int, object] = {}  # leading index -> normalized row
+        self.pivots: Dict[int, Dict[int, int]] = {}  # leading index -> monic row
         self.coords: Dict[int, Dict[object, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, vec, label=None):
-        """Reduce vec; return None if it became a new pivot, else its coordinates.
+    def insert(self, vec: Dict[int, int], label=None):
+        """Reduce vec (consumed); return None if it became a pivot, else its coordinates.
 
         The returned dict maps labels to coefficients c with
         sum(c * pivot_label_vector) == vec; empty dict for the zero vector.
         """
         p = self.p
         coords: Dict[object, int] = {label: 1} if self.track else {}
-        if p == 2:
-            while vec:
-                lead = vec.bit_length() - 1
-                row = self.pivots.get(lead)
-                if row is None:
-                    self.pivots[lead] = vec
-                    if self.track:
-                        self.coords[lead] = coords
-                    return None
-                vec ^= row
-                if self.track:
-                    coords = self._combine(coords, self.coords[lead], 1)
-            return self._dependency(coords, label)
-        if p == 3:
-            m1, m2 = vec
-            while m1 | m2:
-                lead = (m1 | m2).bit_length() - 1
-                row = self.pivots.get(lead)
-                if row is None:
-                    if (m2 >> lead) & 1:  # normalize: leading coefficient 1
-                        m1, m2 = m2, m1
-                        if self.track:
-                            coords = {k: (2 * v) % 3 for k, v in coords.items()}
-                    self.pivots[lead] = (m1, m2)
-                    if self.track:
-                        self.coords[lead] = coords
-                    return None
-                r1, r2 = row
-                if (m1 >> lead) & 1:  # subtract row
-                    m1, m2 = _f3_add((m1, m2), (r2, r1))
-                    lam = 1
-                else:  # subtract 2*row
-                    m1, m2 = _f3_add((m1, m2), (r1, r2))
-                    lam = 2
-                if self.track:
-                    coords = self._combine(coords, self.coords[lead], lam)
-            return self._dependency(coords, label)
         while vec:
             lead = max(vec)
             row = self.pivots.get(lead)
@@ -160,13 +91,3 @@ class Echelon:
         # report the combination over *previous* labels equal to the inserted vector
         out = {k: (-v) % self.p for k, v in coords.items() if k != label}
         return out
-
-
-def rank_of_columns(p: int, columns: Iterable[Iterable[Tuple[int, int]]]) -> int:
-    """Rank over F_p of the span of the given sparse columns."""
-    ech = Echelon(p)
-    for col in columns:
-        vec = vector_from_items(p, col)
-        if not vector_is_zero(p, vec):
-            ech.insert(vec)
-    return ech.rank

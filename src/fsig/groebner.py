@@ -41,13 +41,12 @@ class InternalInvariantError(RuntimeError):
 class GroebnerBasis:
     """Reduced Groebner basis: monic, mutually reduced, sorted by leading monomial."""
 
-    __slots__ = ("ring", "order", "elements", "reduced", "_lead")
+    __slots__ = ("ring", "order", "elements", "_lead")
 
-    def __init__(self, ring: PolyRing, order: TermOrder, elements: Sequence[Polynomial], reduced: bool = True):
+    def __init__(self, ring: PolyRing, order: TermOrder, elements: Sequence[Polynomial]):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self.reduced = reduced
         # (leading monomial, inverse leading coeff, poly) triples for division
         self._lead = tuple(
             (g.leading_term(order)[0], ring.field.inv(g.leading_term(order)[1]), g)
@@ -120,12 +119,29 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     )
 
 
-def _minimalize_monomials(monos: Iterable[Exponents]) -> List[Exponents]:
+def minimal_monomials(gens: Iterable[Polynomial]) -> List[Exponents]:
+    """Exponents of the minimal generators of the ideal spanned by the given monomials."""
     out: List[Exponents] = []
-    for m in sorted(set(monos), key=lambda t: (sum(t), t)):
+    for m in sorted({m for g in gens for m in g.terms}, key=lambda t: (sum(t), t)):
         if not any(monomial_divides(o, m) for o in out):
             out.append(m)
     return out
+
+
+def pure_power_box(monos: Sequence[Exponents], n: int) -> Optional[List[int]]:
+    """Per variable, the smallest exponent e with x_i^e among monos; None if one is missing.
+
+    The constant monomial counts as a pure power of every variable.  For the
+    minimal generators or leading monomials of a monomial ideal, a box means
+    the quotient is finite and its standard monomials lie inside the box.
+    """
+    box = []
+    for i in range(n):
+        pure = [m[i] for m in monos if sum(m) == m[i]]
+        if not pure:
+            return None
+        box.append(min(pure))
+    return box
 
 
 def buchberger(
@@ -142,7 +158,6 @@ def buchberger(
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        ring = None
         raise ValueError("buchberger needs at least one non-zero generator; use GroebnerBasis(ring, order, []) for the zero ideal")
     ring = gens[0].ring
     for g in gens:
@@ -152,7 +167,7 @@ def buchberger(
 
     if all(g.is_monomial() for g in gens):
         # monomial ideals are their own reduced basis after minimalization
-        monos = _minimalize_monomials(m for g in gens for m in g.terms)
+        monos = minimal_monomials(gens)
         elems = [ring.monomial(m) for m in monos]
         elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
         return GroebnerBasis(ring, order, elems)
@@ -306,15 +321,10 @@ def quotient_length(I: Ideal):
     reduced basis; when finite they live in the box cut out by the minimal
     pure-power leads.
     """
-    gb = I.groebner_basis()
-    lms = gb.leading_monomials()
-    n = I.ring.nvars
-    box = []
-    for i in range(n):
-        pure = [m[i] for m in lms if sum(m) == m[i]]
-        if not pure:
-            return INFINITE
-        box.append(min(pure))
+    lms = I.groebner_basis().leading_monomials()
+    box = pure_power_box(lms, I.ring.nvars)
+    if box is None:
+        return INFINITE
     count = 0
     for exps in itertools.product(*(range(b) for b in box)):
         if not any(monomial_divides(lm, exps) for lm in lms):

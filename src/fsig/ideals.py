@@ -5,7 +5,8 @@ Colon ideals drive everything downstream, so they get several routes:
 * both sides monomial        -> combinatorial colon/intersection
 * principal by principal     -> one exact division when the divisor divides
 * zero-dimensional monomial  -> order-driven linear elimination over the
-  finite standard basis, yielding the reduced Groebner basis directly
+  standard monomials, yielding the reduced Groebner basis directly; only the
+  columns that the walk actually reaches are indexed
 * anything else              -> auxiliary-variable elimination (the reference
   path, also available on demand via strategy="elimination")
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import _linalg
 from .groebner import (
@@ -22,8 +23,8 @@ from .groebner import (
     Ideal,
     InternalInvariantError,
     buchberger,
-    ideal_membership,
-    normal_form,
+    minimal_monomials,
+    pure_power_box,
 )
 from .poly import (
     Exponents,
@@ -119,20 +120,11 @@ def intersection(I: Ideal, J: Ideal) -> Ideal:
     if I.is_monomial() and J.is_monomial():
         gens = [
             ring.monomial(monomial_lcm(a, b))
-            for a in _minimal_monomials(I)
-            for b in _minimal_monomials(J)
+            for a in minimal_monomials(I.generators)
+            for b in minimal_monomials(J.generators)
         ]
         return Ideal(ring, gens)
     return _intersection_elimination(I, J)
-
-
-def _minimal_monomials(I: Ideal) -> List[Exponents]:
-    monos = sorted({next(iter(g.terms)) for g in I.generators}, key=lambda t: (sum(t), t))
-    out: List[Exponents] = []
-    for m in monos:
-        if not any(monomial_divides(o, m) for o in out):
-            out.append(m)
-    return out
 
 
 def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
@@ -186,13 +178,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(ring, quo, reduce=False)
 
 
-def _try_exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
-    try:
-        return exact_divide(f, g)
-    except ExactDivisionError:
-        return None
-
-
 # -- colon --------------------------------------------------------------
 
 def colon(I: Ideal, J: Ideal, strategy: str = "auto") -> Ideal:
@@ -216,10 +201,11 @@ def colon(I: Ideal, J: Ideal, strategy: str = "auto") -> Ideal:
         if I.is_monomial() and J.is_monomial():
             return _colon_monomial(I, J)
         if len(I.generators) == 1 and len(J.generators) == 1:
-            q = _try_exact_divide(I.generators[0], J.generators[0])
-            if q is not None:
-                return Ideal(ring, [q])
-        if I.is_monomial() and _is_zero_dimensional_monomial(I):
+            try:
+                return Ideal(ring, [exact_divide(I.generators[0], J.generators[0])])
+            except ExactDivisionError:
+                pass
+        if I.is_monomial() and pure_power_box(minimal_monomials(I.generators), ring.nvars) is not None:
             return _colon_zero_dim(I, J)
     return _colon_elimination(I, J)
 
@@ -227,11 +213,9 @@ def colon(I: Ideal, J: Ideal, strategy: str = "auto") -> Ideal:
 def _colon_monomial(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     result: Optional[Ideal] = None
-    for u in _minimal_monomials(J):
-        gens = [
-            ring.monomial(tuple(max(0, a - b) for a, b in zip(m, u)))
-            for m in _minimal_monomials(I)
-        ]
+    mins = minimal_monomials(I.generators)
+    for u in minimal_monomials(J.generators):
+        gens = [ring.monomial(tuple(max(0, a - b) for a, b in zip(m, u))) for m in mins]
         Q = Ideal(ring, gens)
         result = Q if result is None else intersection(result, Q)
     return result
@@ -248,15 +232,6 @@ def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def _is_zero_dimensional_monomial(I: Ideal) -> bool:
-    mins = _minimal_monomials(I)
-    n = I.ring.nvars
-    for i in range(n):
-        if not any(sum(m) == m[i] and m[i] > 0 for m in mins):
-            return False
-    return True
-
-
 def _colon_zero_dim(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) for zero-dimensional monomial I by linear elimination.
 
@@ -271,21 +246,17 @@ def _colon_zero_dim(I: Ideal, J: Ideal) -> Ideal:
     order = ring.order
     p = ring.p
     n = ring.nvars
-    mins = _minimal_monomials(I)
-
-    std = _standard_monomials(mins, n)
-    index = {m: i for i, m in enumerate(std)}
-    dim = len(std)
+    mins = minimal_monomials(I.generators)
     fgens = [f for f in J.generators if not f.is_zero()]
+    column: Dict[Tuple[int, Exponents], int] = {}  # (j, standard monomial), numbered on first hit
 
     def mult_vector(m: Exponents) -> List[Tuple[int, int]]:
         items = []
         for j, f in enumerate(fgens):
-            base = j * dim
             for fm, fc in f.terms.items():
                 target = monomial_mul(m, fm)
                 if not any(monomial_divides(g, target) for g in mins):
-                    items.append((base + index[target], fc))
+                    items.append((column.setdefault((j, target), len(column)), fc))
         return items
 
     ech = _linalg.Echelon(p, track=True)
@@ -322,14 +293,3 @@ def _colon_zero_dim(I: Ideal, J: Ideal) -> Ideal:
     result.set_groebner_basis(gb)
     return result
 
-
-def _standard_monomials(mins: Sequence[Exponents], n: int) -> List[Exponents]:
-    box = []
-    for i in range(n):
-        pure = [m[i] for m in mins if sum(m) == m[i]]
-        box.append(min(pure))
-    out = []
-    for exps in itertools.product(*(range(b) for b in box)):
-        if not any(monomial_divides(m, exps) for m in mins):
-            out.append(exps)
-    return out

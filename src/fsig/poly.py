@@ -63,12 +63,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in prime field")

@@ -4,7 +4,10 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.
+basis route is the semantic reference.  Both routes reduce rows with the same
+_linalg.Echelon, so agreement between them does not check the echelon; the
+independent check lives in tests/_oracles.py (dense elimination, Macaulay
+membership, brute-force standard-monomial counts).
 """
 
 from __future__ import annotations
@@ -48,15 +51,15 @@ def maximal_bracket(ring: PolyRing, e: int) -> Ideal:
     return Ideal(ring, gens)
 
 
-def splitting_ideal(sys: FGradedSystem, e: int, strategy: str = "auto") -> Ideal:
+def splitting_ideal(sys: FGradedSystem, e: int) -> Ideal:
     """I_e = (<x_i^{p^e}> : b_e); always contains the bracket of the variables."""
     if e < 1:
         raise ValueError("splitting_ideal needs e >= 1")
-    return colon(maximal_bracket(sys.ring, e), sys.b_of(e), strategy=strategy)
+    return colon(maximal_bracket(sys.ring, e), sys.b_of(e))
 
 
-def _splitting_number_basis(sys: FGradedSystem, e: int, strategy: str = "auto") -> int:
-    length = quotient_length(splitting_ideal(sys, e, strategy))
+def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
+    length = quotient_length(splitting_ideal(sys, e))
     if length == math.inf:
         raise InternalInvariantError("splitting ideal is not zero-dimensional")
     return int(length)
@@ -97,7 +100,7 @@ def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
                     items.append((offset + idx, c))
         if items:
             vec = _linalg.vector_from_items(p, items)
-            if not _linalg.vector_is_zero(p, vec):
+            if vec:
                 ech.insert(vec)
         idx += 1
     return ech.rank
@@ -171,7 +174,9 @@ class SplittingReport:
 def _fit_tail(rows: Sequence[Row], p: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
     """Least-squares fit of s_e = L + c*p^-e over the last (up to) three rows.
 
-    Returns (L, |c|/p^emax); the fit is a diagnostic, never an exact claim.
+    Returns (L clamped into [0, 1], |c|/p^emax + the clamp distance), so the
+    interval around the estimate still covers the raw fitted L.  The envelope
+    is a fit diagnostic, not a proven bound on the limit.
     """
     if not rows:
         return None, None
@@ -189,7 +194,8 @@ def _fit_tail(rows: Sequence[Row], p: int) -> Tuple[Optional[Fraction], Optional
     det = k * sxx - sx * sx
     c = (k * sxy - sx * sy) / det
     L = (sy * sxx - sx * sxy) / det
-    return L, abs(c) / p**emax
+    clamped = min(max(L, Fraction(0)), Fraction(1))
+    return clamped, abs(c) / p**emax + abs(L - clamped)
 
 
 def _default_dimension(sys: FGradedSystem) -> int:
@@ -253,15 +259,17 @@ def signature_sequence(
 def is_f_pure(sys: FGradedSystem, emax: int) -> Tuple[bool, Optional[int]]:
     """Purity up to emax: a_e != 0 iff b_e escapes the variable bracket.
 
+    b_e escapes m^[q] exactly when some generator has a term with every
+    exponent below q, the same test the rank route applies to each term.
     A positive answer is sound with its witness level; a negative answer only
     covers levels up to emax.
     """
     if emax < 1:
         raise ValueError("is_f_pure needs emax >= 1")
     for e in range(1, emax + 1):
-        gb = maximal_bracket(sys.ring, e).groebner_basis()
+        q = sys.ring.p**e
         for g in sys.b_of(e).generators:
-            if not normal_form(g, gb).is_zero():
+            if any(all(u < q for u in m) for m in g.terms):
                 return True, e
     return False, None
 

@@ -142,6 +142,9 @@ def test_colon_by_unit_and_zero():
     with pytest.raises(ValueError):
         colon(I, Ideal(R, []))
     assert ideal_membership(R.one(), colon(I, I))
+    # the unit ideal is a zero-dimensional monomial ideal for the linear route
+    one = Ideal(R, [R.one()])
+    assert ideal_equals(colon(one, Ideal(R, [R.parse("x + y")])), one)
 
 
 def test_exact_division_failure_is_distinct():
@@ -183,6 +186,20 @@ def test_colon_product_containment_randomized(p):
         for g in Q.generators:
             for f in J.generators:
                 assert ideal_membership(g * f, I)
+    # zero-dimensional monomial I: the lazily indexed linear route against elimination
+    R = PolyRing.make(p, ["x", "y"])
+    for _ in range(8):
+        gens = [R.monomial((rng.randint(1, 4), 0)), R.monomial((0, rng.randint(1, 4)))]
+        if rng.random() < 0.5:
+            gens.append(R.monomial((rng.randint(1, 2), rng.randint(1, 2))))
+        I = Ideal(R, gens)
+        J_gens, count = [], rng.randint(1, 2)
+        while len(J_gens) < count:
+            f = _random_poly(rng, R, max_terms=3)
+            if len(f.terms) > 1:
+                J_gens.append(f)
+        J = Ideal(R, J_gens)
+        assert ideal_equals(colon(I, J), colon(I, J, strategy="elimination"))
 
 
 def test_intersection_commutative_idempotent():

@@ -107,6 +107,14 @@ def test_signature_sequence_snc():
     assert not rep.partial
 
 
+def test_whitney_estimate_clamped_into_unit_interval():
+    # the raw least-squares limit at emax 4 is -5/4374
+    _, wh = whitney()
+    rep = signature_sequence(wh, 4, method="groebner")
+    assert 0 <= rep.estimate <= 1
+    assert abs(rep.estimate - Fraction(-5, 4374)) <= rep.error_envelope
+
+
 def test_signature_sequence_dimension_override():
     _, wh = whitney()
     rep = signature_sequence(wh, 1, d=3)
