@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import ResourceLimitError
-from .newton import monomial_signature
+from .newton import clip_and_volume, newton_polyhedron
 from .poly import DEGREVLEX, LEX, PolyParseError, PolyRing, Polynomial, is_prime
 from .signature import (
     InfeasibleError,
@@ -302,7 +302,8 @@ def run(problem: Problem) -> RunResult:
                 t += step
         else:
             ts.append(Fraction(problem.system_ast[2]))
-        rows = [(t, monomial_signature(exps, t)) for t in ts]
+        P = newton_polyhedron(exps)
+        rows = [(t, clip_and_volume(P, t)) for t in ts]
         return RunResult(problem, monomial_rows=rows)
 
     system = problem.system()
@@ -508,7 +509,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         problem = parse_problem_file(text)
         if args.emax is not None:
             if args.emax < 1:
-                raise ProblemError("emax must be >= 1", 0, 0)
+                print("fsig: --emax must be >= 1", file=sys.stderr)
+                return 1
             problem.emax = args.emax
         problem.threshold_deg = args.threshold_deg
         problem.method = args.method

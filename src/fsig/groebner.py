@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
-    DEGREVLEX,
     Exponents,
     PolyRing,
     Polynomial,
@@ -39,7 +39,10 @@ class InternalInvariantError(RuntimeError):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, mutually reduced, sorted by leading monomial."""
+    """Reduced Groebner basis: monic, mutually reduced, sorted by leading monomial.
+
+    Division never inverts a leading coefficient, so a non-monic element is a ValueError.
+    """
 
     __slots__ = ("ring", "order", "elements", "_lead")
 
@@ -47,14 +50,12 @@ class GroebnerBasis:
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        # (leading monomial, inverse leading coeff, poly) triples for division
-        self._lead = tuple(
-            (g.leading_term(order)[0], ring.field.inv(g.leading_term(order)[1]), g)
-            for g in self.elements
-        )
+        self._lead = [(g.leading_term(order)[0], g) for g in self.elements]  # reducers
+        if any(g.terms[lm] != 1 for lm, g in self._lead):
+            raise ValueError("every Groebner basis element must be monic")
 
     def leading_monomials(self) -> Tuple[Exponents, ...]:
-        return tuple(lm for lm, _, _ in self._lead)
+        return tuple(lm for lm, _ in self._lead)
 
     def __iter__(self):
         return iter(self.elements)
@@ -81,7 +82,8 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return _reduce(f, G._lead, G.order)
 
 
-def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, int, Polynomial]], order: TermOrder) -> Polynomial:
+def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: TermOrder) -> Polynomial:
+    """Full remainder of f by the monic reducers `lead`, as (leading monomial, g) pairs."""
     ring = f.ring
     p = ring.p
     work = dict(f.terms)
@@ -90,13 +92,12 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, int, Polynomial]], or
     while work:
         m = max(work, key=key)
         c = work[m]
-        for lm, lcinv, g in lead:
+        for lm, g in lead:
             if monomial_divides(lm, m):
                 shift = monomial_div(m, lm)
-                factor = c * lcinv % p
                 for gm, gc in g.terms.items():
                     t = monomial_mul(gm, shift)
-                    v = (work.get(t, 0) - factor * gc) % p
+                    v = (work.get(t, 0) - c * gc) % p
                     if v:
                         work[t] = v
                     else:
@@ -152,9 +153,11 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
-    Normal selection strategy (smallest pair lcm in the order), the coprime
-    and chain pair criteria, full-tail reductions.  Deterministic for a fixed
-    input.  Caps raise ResourceLimitError rather than truncating silently.
+    Normal selection strategy (smallest pair lcm in the order, then smallest
+    indices; each key is computed once, on a heap), the coprime and chain pair
+    criteria, full-tail reductions by the monic elements found so far.
+    Deterministic for a fixed input.  Caps raise ResourceLimitError rather
+    than truncating silently.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -172,91 +175,81 @@ def buchberger(
         elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
         return GroebnerBasis(ring, order, elems)
 
-    basis: List[Polynomial] = []
+    lead: List[Tuple[Exponents, Polynomial]] = []
     seen = set()
     for g in sorted(gens, key=lambda h: sorted(h.terms.items())):
         g = g.monic(order)
         marker = frozenset(g.terms.items())
         if marker not in seen:
             seen.add(marker)
-            basis.append(g)
+            lead.append((g.leading_term(order)[0], g))
 
-    lms = [g.leading_term(order)[0] for g in basis]
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    pending = set()  # queued pairs, for the chain criterion
+    queue: List[Tuple[object, int, int]] = []  # (order key of the pair's lcm, i, j)
+
+    def enqueue(j: int):
+        for i in range(j):
+            pending.add((i, j))
+            heapq.heappush(queue, (order.key(monomial_lcm(lead[i][0], lead[j][0])), i, j))
+
+    for j in range(len(lead)):
+        enqueue(j)
     pairs_done = 0
 
-    def lcm_of(i: int, j: int) -> Exponents:
-        return monomial_lcm(lms[i], lms[j])
-
-    while pending:
-        i, j = min(pending, key=lambda ij: (order.key(lcm_of(*ij)), ij))
+    while queue:
+        _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
         pairs_done += 1
         if pairs_done > max_pairs:
             raise ResourceLimitError(
-                f"pair cap {max_pairs} exceeded", pairs_done, len(basis)
+                f"pair cap {max_pairs} exceeded", pairs_done, len(lead)
             )
-        lcm = lcm_of(i, j)
-        if not any(monomial_gcd(lms[i], lms[j])):
+        (lm_i, f_i), (lm_j, f_j) = lead[i], lead[j]
+        if not any(monomial_gcd(lm_i, lm_j)):
             continue  # coprime leading monomials
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                monomial_divides(lms[k], lcm)
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                chain = True
-                break
-        if chain:
-            continue
-        lead = [(lms[k], ring.field.inv(basis[k].leading_term(order)[1]), basis[k]) for k in range(len(basis))]
-        h = _reduce(s_polynomial(basis[i], basis[j], order), lead, order)
+        lcm = monomial_lcm(lm_i, lm_j)
+        if any(
+            k != i
+            and k != j
+            and monomial_divides(lm_k, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (lm_k, _) in enumerate(lead)
+        ):
+            continue  # chain criterion
+        h = _reduce(s_polynomial(f_i, f_j, order), lead, order)
         if h.is_zero():
             continue
-        if len(basis) + 1 > max_basis:
+        if len(lead) + 1 > max_basis:
             raise ResourceLimitError(
-                f"basis cap {max_basis} exceeded", pairs_done, len(basis) + 1
+                f"basis cap {max_basis} exceeded", pairs_done, len(lead) + 1
             )
         h = h.monic(order)
-        basis.append(h)
-        lms.append(h.leading_term(order)[0])
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
+        lead.append((h.leading_term(order)[0], h))
+        enqueue(len(lead) - 1)
 
-    return _reduce_basis(ring, order, basis)
+    return _reduce_basis(ring, order, lead)
 
 
-def _reduce_basis(ring: PolyRing, order: TermOrder, basis: List[Polynomial]) -> GroebnerBasis:
-    # minimal generators: drop elements whose lead is divisible by another lead
-    lms = [g.leading_term(order)[0] for g in basis]
-    keep = []
-    for idx, g in enumerate(basis):
-        lm = lms[idx]
-        redundant = any(
-            k != idx and monomial_divides(lms[k], lm) and (lms[k] != lm or k < idx)
-            for k in range(len(basis))
+def _reduce_basis(ring: PolyRing, order: TermOrder, lead: List[Tuple[Exponents, Polynomial]]) -> GroebnerBasis:
+    """Reduced basis from monic (leading monomial, g) pairs spanning a Groebner basis.
+
+    Keeps a minimal basis (the first of equal leads), then reduces each element
+    by the others once: no lead divides another, so leading terms stay monic
+    and fixed, and a tail reduced against fixed leads stays reduced.
+    """
+    minimal = [
+        (lm, g)
+        for idx, (lm, g) in enumerate(lead)
+        if not any(
+            k != idx and monomial_divides(other, lm) and (other != lm or k < idx)
+            for k, (other, _) in enumerate(lead)
         )
-        if not redundant:
-            keep.append(g)
-    # inter-reduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(keep)):
-            others = keep[:idx] + keep[idx + 1 :]
-            lead = [
-                (h.leading_term(order)[0], ring.field.inv(h.leading_term(order)[1]), h)
-                for h in others
-            ]
-            r = _reduce(keep[idx], lead, order).monic(order)
-            if r != keep[idx]:
-                keep[idx] = r
-                changed = True
-    keep.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    return GroebnerBasis(ring, order, keep)
+    ]
+    for idx, (lm, g) in enumerate(minimal):
+        minimal[idx] = (lm, _reduce(g, minimal[:idx] + minimal[idx + 1 :], order))
+    minimal.sort(key=lambda pair: order.key(pair[0]))
+    return GroebnerBasis(ring, order, [g for _, g in minimal])
 
 
 class Ideal:

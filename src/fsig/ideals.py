@@ -61,14 +61,6 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
         return Ideal(ring, [])
     if len(gens) == 1:
         return Ideal(ring, [gens[0] ** n])
-    if gens[0].is_monomial() and all(g.is_monomial() for g in gens):
-        out = []
-        for combo in itertools.combinations_with_replacement(range(len(gens)), n):
-            exps = (0,) * ring.nvars
-            for idx in combo:
-                exps = monomial_mul(exps, next(iter(gens[idx].terms)))
-            out.append(ring.monomial(exps))
-        return Ideal(ring, out)
     out = []
     for combo in itertools.combinations_with_replacement(gens, n):
         f = ring.one()

@@ -189,6 +189,16 @@ def test_main_emax_override(tmp_path, capsys):
     assert len(doc["rows"]) == 1
 
 
+def test_main_rejects_nonpositive_emax_flag(tmp_path, capsys):
+    path = tmp_path / "snc.fsig"
+    path.write_text(SNC)
+    assert main([str(path), "--emax", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--emax must be >= 1" in captured.err
+    assert "line 0" not in captured.err
+
+
 def test_main_method_flag(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)

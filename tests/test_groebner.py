@@ -14,7 +14,7 @@ from fsig.groebner import (
     quotient_length,
     s_polynomial,
 )
-from fsig.poly import LEX, PolyRing, Polynomial
+from fsig.poly import LEX, PolyRing, Polynomial, monomial_divides
 
 from _oracles import box_quotient_corank, count_standard_monomials, macaulay_member
 
@@ -108,6 +108,26 @@ def test_resource_cap_is_distinct_error():
         buchberger([R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")], max_pairs=1)
 
 
+@pytest.mark.parametrize("caps, pairs_done, basis_size", [
+    ({"max_basis": 5}, 4, 6),
+    ({"max_pairs": 7}, 8, 6),
+])
+def test_resource_cap_trips_at_pinned_pair(caps, pairs_done, basis_size):
+    # the pair order (smallest lcm, then smallest indices) decides where a cap trips
+    R = ring3()
+    gens = [R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")]
+    with pytest.raises(ResourceLimitError) as err:
+        buchberger(gens, **caps)
+    assert (err.value.pairs_done, err.value.basis_size) == (pairs_done, basis_size)
+
+
+def test_groebner_basis_rejects_non_monic_element():
+    R = ring3()
+    with pytest.raises(ValueError):
+        GroebnerBasis(R, R.order, [R.parse("2*x + y")])
+    assert len(GroebnerBasis(R, R.order, [R.parse("x + 2*y")])) == 1
+
+
 def _random_poly(rng, ring, max_terms, max_deg):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -127,6 +147,11 @@ def test_all_s_polynomials_reduce_to_zero(p):
         if not gens:
             continue
         gb = buchberger(gens)
+        lms = gb.leading_monomials()
+        for g, lm in zip(gb, lms):
+            assert g.terms[lm] == 1  # monic
+            others = [o for o in lms if o != lm]
+            assert not any(monomial_divides(o, m) for o in others for m in g.terms)
         for i in range(len(gb.elements)):
             for j in range(i + 1, len(gb.elements)):
                 s = s_polynomial(gb.elements[i], gb.elements[j], gb.order)
