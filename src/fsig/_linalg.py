@@ -1,27 +1,48 @@
-"""Incremental row echelon over F_p on sparse vectors.
+"""The box matrix of both a_e routes, and incremental row echelon over F_p.
 
-A vector is a dict mapping column index to a nonzero coefficient in [1, p);
-the zero vector is the empty dict.  Both a_e routes build rows with only a
-handful of entries (one per generator term that lands inside the box), while
-their column space is #gens * q^n wide.  A sparse row costs what it holds; a
-dense bitmask would cost the full width on every row operation.
+box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
+columns and which cells can have a row.  A vector is a dict mapping column
+index to a nonzero coefficient in [1, p); the zero vector is the empty dict.
+A row holds one entry per generator term landing in the box, out of
+#gens * |box| columns, so a sparse row costs what it holds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from operator import lt, mul
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
-def vector_from_items(p: int, items: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-    """Build a vector from (index, coefficient) pairs; indices may repeat."""
-    out: Dict[int, int] = {}
-    for idx, c in items:
-        v = (out.get(idx, 0) + c) % p
-        if v:
-            out[idx] = v
-        else:
-            out.pop(idx, None)
-    return out
+def box_rows(
+    box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]
+) -> Tuple[Callable[[Tuple[int, ...]], Dict[int, int]], List[int]]:
+    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and the reach of the rows.
+
+    polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
+    has column j*|box| + the mixed-radix index of t (first variable most
+    significant).  Term m reaches cell g exactly when g_i < box_i - m_i for
+    every i, so terms never share a column.  reach[i] is the largest
+    box_i - m_i over the in-box terms (0 if none): a cell with a non-empty
+    row lies below reach.
+    """
+    strides, size = [], 1
+    for b in reversed(box):
+        strides.insert(0, size)
+        size *= b
+    reach = [0] * len(box)
+    terms = []
+    for j, f in enumerate(polys):
+        for m, c in f.items():
+            bounds = tuple(b - u for b, u in zip(box, m))
+            if all(b > 0 for b in bounds):
+                terms.append((bounds, j * size + sum(map(mul, m, strides)), c))
+                reach = list(map(max, reach, bounds))
+
+    def row(g: Tuple[int, ...]) -> Dict[int, int]:
+        base = sum(map(mul, g, strides))
+        return {off + base: c for bounds, off, c in terms if all(map(lt, g, bounds))}
+
+    return row, reach
 
 
 class Echelon:

@@ -51,12 +51,16 @@ class Problem:
     t_sweep: Optional[Tuple[Fraction, Fraction, Fraction]] = None
     threshold_deg: Optional[int] = None
     method: str = "both"
+    system_pos: Tuple[int, int] = (0, 0)  # line, column of the system key
 
     def ring(self) -> PolyRing:
         return PolyRing.make(self.p, self.variables, ORDERS[self.order_name])
 
     def system(self) -> FGradedSystem:
-        return make_system(self.system_ast, self.ring(), self.ceiling)
+        try:
+            return make_system(self.system_ast, self.ring(), self.ceiling)
+        except ValueError as err:  # e.g. a quotient by the unit ideal
+            raise ProblemError(str(err), *self.system_pos) from None
 
 
 @dataclass
@@ -269,6 +273,7 @@ def parse_problem_file(text: str) -> Problem:
         emax=emax,
         ceiling=ceiling,
         t_sweep=t_sweep,
+        system_pos=(lineno, col),
     )
 
 

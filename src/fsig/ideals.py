@@ -4,9 +4,9 @@ Colon ideals drive everything downstream, so they get several routes:
 
 * both sides monomial        -> combinatorial colon/intersection
 * principal by principal     -> one exact division when the divisor divides
-* zero-dimensional monomial  -> order-driven linear elimination over the
-  standard monomials, yielding the reduced Groebner basis directly; only the
-  columns that the walk actually reaches are indexed
+* box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
+  standard monomials on _linalg.box_rows, yielding the reduced Groebner basis
+  directly; covers m^[q] and the unit ideal
 * anything else              -> auxiliary-variable elimination (the reference
   path, also available on demand via strategy="elimination")
 """
@@ -28,9 +28,7 @@ from .groebner import (
 )
 from .poly import (
     Exponents,
-    PolyRing,
     Polynomial,
-    TermOrder,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -197,8 +195,11 @@ def colon(I: Ideal, J: Ideal, strategy: str = "auto") -> Ideal:
                 return Ideal(ring, [exact_divide(I.generators[0], J.generators[0])])
             except ExactDivisionError:
                 pass
-        if I.is_monomial() and pure_power_box(minimal_monomials(I.generators), ring.nvars) is not None:
-            return _colon_zero_dim(I, J)
+        if I.is_monomial():
+            mins = minimal_monomials(I.generators)
+            box = pure_power_box(mins, ring.nvars)
+            if box is not None and all(sum(m) == max(m) for m in mins):
+                return _colon_zero_dim(I, J, box)
     return _colon_elimination(I, J)
 
 
@@ -224,32 +225,21 @@ def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def _colon_zero_dim(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) for zero-dimensional monomial I by linear elimination.
+def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
+    """(I : J) for the box ideal I = <x_i^{box_i}> by linear elimination.
 
     Walks candidate monomials in increasing term order; a candidate m whose
-    multiplication vector (m*f_j reduced against I, stacked over j) depends
-    linearly on those of the smaller standard monomials contributes the
-    reduced-basis element m - sum(c_b * b).  Terminates because I is
-    zero-dimensional, and the emitted elements form the reduced basis of the
-    colon because their tails only involve its standard monomials.
+    row (m*f_j mod I stacked over j, from _linalg.box_rows) depends linearly
+    on those of the smaller standard monomials contributes the reduced-basis
+    element m - sum(c_b * b).  Terminates because I is zero-dimensional, and
+    the emitted elements form the reduced basis of the colon because their
+    tails only involve its standard monomials.
     """
     ring = I.ring
     order = ring.order
     p = ring.p
     n = ring.nvars
-    mins = minimal_monomials(I.generators)
-    fgens = [f for f in J.generators if not f.is_zero()]
-    column: Dict[Tuple[int, Exponents], int] = {}  # (j, standard monomial), numbered on first hit
-
-    def mult_vector(m: Exponents) -> List[Tuple[int, int]]:
-        items = []
-        for j, f in enumerate(fgens):
-            for fm, fc in f.terms.items():
-                target = monomial_mul(m, fm)
-                if not any(monomial_divides(g, target) for g in mins):
-                    items.append((column.setdefault((j, target), len(column)), fc))
-        return items
+    row, _ = _linalg.box_rows(box, [f.terms for f in J.generators])
 
     ech = _linalg.Echelon(p, track=True)
     heap: List[Tuple[object, Exponents]] = []
@@ -264,8 +254,7 @@ def _colon_zero_dim(I: Ideal, J: Ideal) -> Ideal:
         _, m = heapq.heappop(heap)
         if any(monomial_divides(lm, m) for lm in lead_found):
             continue
-        vec = _linalg.vector_from_items(p, mult_vector(m))
-        dep = ech.insert(vec, label=m)
+        dep = ech.insert(row(m), label=m)
         if dep is None:
             for i in range(n):
                 cand = tuple(m[k] + (1 if k == i else 0) for k in range(n))

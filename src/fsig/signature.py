@@ -4,10 +4,13 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  Both routes reduce rows with the same
-_linalg.Echelon, so agreement between them does not check the echelon; the
-independent check lives in tests/_oracles.py (dense elimination, Macaulay
-membership, brute-force standard-monomial counts).
+basis route is the semantic reference.  Both take rows from _linalg.box_rows
+and reduce them with _linalg.Echelon, so method="both" checks what differs --
+the walks (term order vs the reach) and read-outs (reduced basis and
+quotient_length vs pivot count) -- but not the rows or the echelon.  Those
+are checked in tests only: tests/test_linalg.py against a brute-force box and
+tests/_oracles.py (dense elimination, Macaulay membership, brute-force
+standard-monomial counts).
 """
 
 from __future__ import annotations
@@ -68,41 +71,13 @@ def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
 def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
     """Rank over F_p of g -> (g*f_j mod <x_i^q>) on the box basis of exponents < q."""
     ring = sys.ring
-    p = ring.p
-    n = ring.nvars
-    q = p**e
-    fgens = [f for f in sys.b_of(e).generators if not f.is_zero()]
-    dim = q**n
-    strides = [q ** (n - 1 - i) for i in range(n)]
-    term_lists = []
-    for j, f in enumerate(fgens):
-        base = j * dim
-        terms = []
-        for m, c in f.terms.items():
-            if all(u < q for u in m):  # terms past the box never land inside it
-                offset = base + sum(u * s for u, s in zip(m, strides))
-                bounds = tuple(q - u for u in m)
-                terms.append((bounds, offset, c))
-        if terms:
-            term_lists.append(terms)
-    ech = _linalg.Echelon(p)
-    idx = 0
-    for g in itertools.product(*(range(q) for _ in range(n))):
-        items = []
-        for terms in term_lists:
-            for bounds, offset, c in terms:
-                ok = True
-                for u, b in zip(g, bounds):
-                    if u >= b:
-                        ok = False
-                        break
-                if ok:
-                    items.append((offset + idx, c))
-        if items:
-            vec = _linalg.vector_from_items(p, items)
-            if vec:
-                ech.insert(vec)
-        idx += 1
+    q = ring.p**e
+    row, reach = _linalg.box_rows([q] * ring.nvars, [f.terms for f in sys.b_of(e).generators])
+    ech = _linalg.Echelon(ring.p)
+    for g in itertools.product(*map(range, reach)):
+        vec = row(g)
+        if vec:
+            ech.insert(vec)
     return ech.rank
 
 

@@ -14,26 +14,36 @@ from functools import cmp_to_key
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
-def dense_rank_modp(rows: List[List[int]], p: int) -> int:
-    """Gaussian elimination on dense integer rows, reduced mod p."""
+def dense_echelon_modp(rows: List[List[int]], p: int) -> List[Tuple[int, List[int]]]:
+    """Forward Gaussian elimination on dense integer rows mod p.
+
+    Returns the (pivot column, monic row) pairs in increasing column order;
+    each pivot row is zero left of its pivot column.
+    """
     rows = [[v % p for v in row] for row in rows]
-    rank = 0
+    pivots: List[Tuple[int, List[int]]] = []
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        inv = pow(rows[k][col], -1, p)
+        prow = [(v * inv) % p for v in rows[k]]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        pivots.append((col, prow))
+        if len(pivots) == len(rows):
             break
-    return rank
+    return pivots
+
+
+def dense_rank_modp(rows: List[List[int]], p: int) -> int:
+    """Rank mod p of dense integer rows."""
+    return len(dense_echelon_modp(rows, p))
 
 
 def _monomials_up_to(nvars: int, deg: int) -> List[Tuple[int, ...]]:
@@ -78,8 +88,11 @@ def macaulay_member(
     frow = to_row(f_terms)
     if frow is None:
         return False
-    base = dense_rank_modp(rows, p)
-    return dense_rank_modp(rows + [frow], p) == base
+    for col, prow in dense_echelon_modp(rows, p):
+        c = frow[col]
+        if c:
+            frow = [(a - c * b) % p for a, b in zip(frow, prow)]
+    return not any(frow)
 
 
 def box_quotient_corank(

@@ -186,13 +186,10 @@ def test_colon_product_containment_randomized(p):
         for g in Q.generators:
             for f in J.generators:
                 assert ideal_membership(g * f, I)
-    # zero-dimensional monomial I: the lazily indexed linear route against elimination
+    # box ideal I = <x^a, y^b>: the linear route over box_rows against elimination
     R = PolyRing.make(p, ["x", "y"])
     for _ in range(8):
-        gens = [R.monomial((rng.randint(1, 4), 0)), R.monomial((0, rng.randint(1, 4)))]
-        if rng.random() < 0.5:
-            gens.append(R.monomial((rng.randint(1, 2), rng.randint(1, 2))))
-        I = Ideal(R, gens)
+        I = Ideal(R, [R.monomial((rng.randint(1, 4), 0)), R.monomial((0, rng.randint(1, 4)))])
         J_gens, count = [], rng.randint(1, 2)
         while len(J_gens) < count:
             f = _random_poly(rng, R, max_terms=3)

@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from _oracles import dense_rank_modp
-from fsig._linalg import Echelon, vector_from_items
+from fsig._linalg import Echelon, box_rows
+
+
+def vector_from_items(p, items):
+    """Sparse vector from (index, coefficient) pairs; indices may repeat."""
+    out = {}
+    for idx, c in items:
+        out[idx] = (out.get(idx, 0) + c) % p
+    return {idx: c for idx, c in out.items() if c}
 
 
 def _random_rows(rng, p, count):
@@ -50,3 +59,35 @@ def test_echelon_rank_and_dependencies_randomized(p):
             assert rebuilt == vec
         expected = dense_rank_modp(_dense(rows, p), p)
         assert plain.rank == tracked.rank == len(vectors) == expected
+
+
+def test_box_rows_match_brute_force_randomized():
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        box = [rng.choice([0, 1, 2, 3, 4]) for _ in range(n)]
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                # exponents up to one past the box side, so some terms never land
+                terms[tuple(rng.randint(0, b + 1) for b in box)] = rng.randint(1, 6)
+            polys.append(terms)
+        cells = list(itertools.product(*(range(b) for b in box)))
+        position = {t: k for k, t in enumerate(cells)}  # enumeration order = column order
+        row, reach = box_rows(box, polys)
+        landing = [m for terms in polys for m in terms if all(u < b for u, b in zip(m, box))]
+        assert reach == [max((b - m[i] for m in landing), default=0) for i, b in enumerate(box)]
+        # every cell of the box and every cell up to one step outside it
+        for g in itertools.product(*(range(b + 2) for b in box)):
+            expected = {}
+            for j, terms in enumerate(polys):
+                for m, c in terms.items():
+                    t = tuple(a + b for a, b in zip(g, m))
+                    if t in position:
+                        expected[j * len(cells) + position[t]] = c
+            got = row(g)
+            assert got == expected, (box, polys, g)
+            assert all(got.values())
+            if got:
+                assert all(u < r for u, r in zip(g, reach)), (box, polys, g, reach)
