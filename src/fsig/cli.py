@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import ResourceLimitError
-from .newton import clip_and_volume, newton_polyhedron
+from .newton import DIMENSION_CAP, clip_and_volume, newton_polyhedron
 from .poly import DEGREVLEX, LEX, PolyParseError, PolyRing, Polynomial, is_prime
 from .signature import (
     InfeasibleError,
@@ -263,6 +263,11 @@ def parse_problem_file(text: str) -> Problem:
             raise ProblemError("monomial mode needs a single pair system", lineno, col)
         if not all(g.is_monomial() for g in ast[1]):
             raise ProblemError("monomial mode needs monomial generators", lineno, col)
+        if len(variables) > DIMENSION_CAP:
+            vars_line, vars_col, _ = entries["vars"]
+            raise ProblemError(
+                f"monomial mode supports at most {DIMENSION_CAP} variables", vars_line, vars_col
+            )
 
     return Problem(
         p=p,

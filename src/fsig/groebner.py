@@ -89,8 +89,9 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: 
     work = dict(f.terms)
     out: Dict[Exponents, int] = {}
     key = order.key
+    keys = {m: key(m) for m in work}  # each term's order key, built once on entry
     while work:
-        m = max(work, key=key)
+        m = max(work, key=keys.__getitem__)
         c = work[m]
         for lm, g in lead:
             if monomial_divides(lm, m):
@@ -99,6 +100,8 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: 
                     t = monomial_mul(gm, shift)
                     v = (work.get(t, 0) - c * gc) % p
                     if v:
+                        if t not in keys:
+                            keys[t] = key(t)
                         work[t] = v
                     else:
                         work.pop(t, None)

@@ -1,9 +1,26 @@
 """Monomial fast path: Newton polyhedra, exact clipped volumes, lattice counts.
 
-Everything here is exact rational arithmetic: facet normals are primitive
-integer vectors, vertices are Fraction points, volumes are Fractions.  The
-clipped-volume pipeline follows halfspace -> vertex enumeration (feasible
-n-subsets) -> star triangulation from the vertex centroid -> determinant sums.
+Everything here is exact.  Facet normals are primitive integer vectors.  The
+values a caller sees stay Fractions: the halfspaces, vertices and simplex
+points of a ClippedPolytope and every volume.  The clipped-volume pipeline
+follows halfspace -> vertex enumeration (feasible n-subsets) -> star
+triangulation from the face centroids -> determinant sums, and its inner
+loops run on Python ints, because a Fraction normalises by a gcd after every
+operation and that cost dominated clipping:
+
+* clip clears t's denominator once, so each halfspace is an integer pair
+  (a, b) meaning a.u >= b;
+* each n-subset is solved by one fraction-free Gauss-Jordan pass
+  (`_solve_int`), giving a vertex as gcd-reduced (numerators, den);
+  feasibility and tightness are integer tests a.num >= b*den, and the
+  tight halfspaces are kept as the vertex's incidence;
+* the triangulation picks each subface by incidence and checks affine rank
+  with `_bareiss` on the vertices scaled to their common denominator;
+* the volume clears each simplex's denominators and takes one `_bareiss`
+  determinant per simplex.
+
+Only the facet search of `newton_polyhedron` still eliminates over Fractions
+(`_rref`, for a one-dimensional kernel); its rank test is `_bareiss` too.
 """
 
 from __future__ import annotations
@@ -44,21 +61,6 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     return rows, pivots
 
 
-def _matrix_rank(vectors: Sequence[Sequence]) -> int:
-    rows = [[Fraction(v) for v in vec] for vec in vectors if any(vec)]
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def _affine_rank(points: Sequence[Sequence]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return _matrix_rank([[Fraction(a) - Fraction(b) for a, b in zip(pt, base)] for pt in points[1:]])
-
-
 def _nullspace_line(rows: List[List[Fraction]], ncols: int) -> Optional[List[Fraction]]:
     """The kernel vector when the kernel is exactly one-dimensional."""
     rref, pivots = _rref([list(r) for r in rows]) if rows else ([], [])
@@ -72,37 +74,6 @@ def _nullspace_line(rows: List[List[Fraction]], ncols: int) -> Optional[List[Fra
     return vec
 
 
-def _solve_square(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = _rref(aug)
-    if len(pivots) != n or n in pivots:
-        return None
-    sol = [Fraction(0)] * n
-    for row, pc in zip(rref, pivots):
-        sol[pc] = row[-1]
-    return sol
-
-
-def _det_abs(rows: List[List[Fraction]]) -> Fraction:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-        det *= rows[c][c]
-        inv = Fraction(1, 1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return abs(det)
-
-
 def _primitive(vec: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
     denom = math.lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
@@ -110,6 +81,63 @@ def _primitive(vec: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
     if g == 0:
         return None
     return tuple(i // g for i in ints)
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """Fraction-free forward elimination of integer rows: (rank, last pivot).
+
+    Every division is exact, because each entry after a step is a minor of the
+    input (Bareiss).  For a square matrix of full rank the last pivot is +-det.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        pivot = next((i for i in range(rank, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        pc = prow[c]
+        for i in range(rank + 1, nrows):
+            f = rows[i][c]
+            rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], prow)]
+        prev = pc
+        rank += 1
+    return rank, prev
+
+
+def _solve_int(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The solution of the square system rows * x = rhs as (numerators, den).
+
+    One fraction-free Gauss-Jordan pass: after step k every row other than the
+    pivot row is (pivot * row - f * pivot row) / previous pivot, an exact
+    division, and at the end each diagonal entry is the last pivot (+-det).
+    The result is reduced by its gcd with den > 0; None when rows is singular.
+    """
+    n = len(rows)
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return None
+        m[k], m[pivot] = m[pivot], m[k]
+        prow = m[k]
+        pk = prow[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = pk
+    nums = [row[n] for row in m]
+    g = math.gcd(prev, *nums)
+    if prev < 0:
+        g = -g
+    return tuple(x // g for x in nums), prev // g
 
 
 # -- Newton polyhedron ----------------------------------------------------
@@ -173,7 +201,7 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
                 spanning = [
                     [u - b for u, b in zip(pt, base)] for pt in tight_pts[1:]
                 ] + [list(d) for d in tight_dirs]
-                if _matrix_rank(spanning) == n - 1:
+                if _bareiss(spanning)[0] == n - 1:
                     facets[(a, c)] = None
     return NewtonPolyhedron(n, tuple(sorted(facets)), tuple(points))
 
@@ -193,10 +221,21 @@ class ClippedPolytope:
         n = self.nvars
         total = Fraction(0)
         for simplex in self.simplices:
-            base = simplex[0]
-            rows = [[v - b for v, b in zip(pt, base)] for pt in simplex[1:]]
-            total += _det_abs(rows)
+            den = math.lcm(*(v.denominator for pt in simplex for v in pt))
+            pts = [[v.numerator * (den // v.denominator) for v in pt] for pt in simplex]
+            base = pts[0]
+            rank, det = _bareiss([[a - b for a, b in zip(pt, base)] for pt in pts[1:]])
+            if rank == n:
+                total += Fraction(abs(det), den**n)
         return total / math.factorial(n)
+
+
+def _affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Affine rank of integer points."""
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return _bareiss([[a - b for a, b in zip(pt, base)] for pt in points[1:]])[0]
 
 
 def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
@@ -207,73 +246,81 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
     n = P.nvars
     if n > DIMENSION_CAP:
         raise ValueError(f"dimension {n} exceeds the cap {DIMENSION_CAP}")
-    halfspaces: List[Tuple[Tuple[Fraction, ...], Fraction]] = []
-    for a, c in P.facets:
-        halfspaces.append((tuple(Fraction(x) for x in a), t * c))
+    # every halfspace times t's denominator: integer (a, b) meaning a.u >= b
+    td = t.denominator
+    int_halfspaces = [(tuple(td * x for x in a), t.numerator * c) for a, c in P.facets]
     for i in range(n):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        halfspaces.append((e, Fraction(0)))
-        halfspaces.append((tuple(-x for x in e), Fraction(-1)))
+        e = tuple(td if j == i else 0 for j in range(n))
+        int_halfspaces += [(e, 0), (tuple(-x for x in e), -td)]
+    halfspaces = tuple((tuple(Fraction(x, td) for x in a), Fraction(b, td)) for a, b in int_halfspaces)
 
-    vertices: List[Vector] = []
-    seen = set()
-    for combo in itertools.combinations(range(len(halfspaces)), n):
-        rows = [list(halfspaces[i][0]) for i in combo]
-        rhs = [halfspaces[i][1] for i in combo]
-        pt = _solve_square(rows, rhs)
-        if pt is None:
+    # (numerators, den) -> the halfspaces tight there, or None when infeasible
+    incidence: Dict[Tuple[Tuple[int, ...], int], Optional[frozenset]] = {}
+    for combo in itertools.combinations(int_halfspaces, n):
+        sol = _solve_int([a for a, _ in combo], [b for _, b in combo])
+        if sol is None or sol in incidence:
             continue
-        key = tuple(pt)
-        if key in seen:
-            continue
-        if all(sum(a * u for a, u in zip(hs[0], pt)) >= hs[1] for hs in halfspaces):
-            seen.add(key)
-            vertices.append(key)
-    vertices.sort()
+        nums, d = sol
+        tight: Optional[List[int]] = []
+        for idx, (a, b) in enumerate(int_halfspaces):
+            lhs = sum(x * u for x, u in zip(a, nums))
+            if lhs < b * d:
+                tight = None
+                break
+            if lhs == b * d:
+                tight.append(idx)
+        incidence[sol] = None if tight is None else frozenset(tight)
 
-    if len(vertices) <= n or _affine_rank(vertices) < n:
-        return ClippedPolytope(n, tuple(halfspaces), tuple(vertices), ())
+    # scaled to one common denominator, integer points sort like the vertices
+    feasible = [(sol, inc) for sol, inc in incidence.items() if inc is not None]
+    den = math.lcm(*(d for (_, d), _ in feasible)) if feasible else 1
+    scaled = sorted((tuple(x * (den // d) for x in nums), inc) for (nums, d), inc in feasible)
+    points = [pt for pt, _ in scaled]
+    vertices = tuple(tuple(Fraction(x, den) for x in pt) for pt in points)
 
-    simplices = _star_triangulation(vertices, halfspaces, n)
-    return ClippedPolytope(n, tuple(halfspaces), tuple(vertices), tuple(simplices))
+    if len(vertices) <= n or _affine_rank(points) < n:
+        return ClippedPolytope(n, halfspaces, vertices, ())
+
+    simplices = _star_triangulation(vertices, points, den, [inc for _, inc in scaled], n)
+    return ClippedPolytope(n, halfspaces, vertices, tuple(simplices))
 
 
 def _star_triangulation(
     vertices: Sequence[Vector],
-    halfspaces: Sequence[Tuple[Tuple[Fraction, ...], Fraction]],
+    points: Sequence[Tuple[int, ...]],
+    den: int,
+    incidences: Sequence[frozenset],
     dim: int,
 ) -> List[Tuple[Vector, ...]]:
-    """Cone from the face centroid over recursively triangulated subfaces."""
+    """Cone from the face centroid over recursively triangulated subfaces.
 
-    def centroid(pts: Sequence[Vector]) -> Vector:
-        k = len(pts)
-        return tuple(sum(col) / k for col in zip(*pts))
+    points[i] is vertices[i] times den, and incidences[i] the halfspace
+    indices tight at it.  A face is a sorted list of vertex indices; its
+    subfaces are its vertices tight at one more halfspace, in halfspace order.
+    """
 
-    def recurse(face: List[Vector], tight: frozenset, d: int) -> List[Tuple[Vector, ...]]:
-        if d == 1:
-            lo = min(face)
-            hi = max(face)
-            return [(lo, hi)] if lo != hi else []
-        c = centroid(face)
+    def recurse(face: List[int], tight: frozenset, d: int) -> List[Tuple[Vector, ...]]:
+        if d == 1:  # an edge: its two end vertices, first and last in sorted order
+            return [(vertices[face[0]], vertices[face[-1]])]
+        k = len(face)
+        c = tuple(Fraction(s, k * den) for s in map(sum, zip(*(points[v] for v in face))))
         out: List[Tuple[Vector, ...]] = []
         done = set()
-        for idx, (normal, offset) in enumerate(halfspaces):
-            if idx in tight:
+        for idx in sorted(frozenset().union(*(incidences[v] for v in face)) - tight):
+            sub = [v for v in face if idx in incidences[v]]
+            if len(sub) < d or len(sub) == k:
                 continue
-            sub = [v for v in face if sum(a * u for a, u in zip(normal, v)) == offset]
-            if len(sub) < d or len(sub) == len(face):
-                continue
-            key = frozenset(sub)
+            key = tuple(sub)
             if key in done:
                 continue
             done.add(key)
-            if _affine_rank(sub) != d - 1:
+            if _affine_rank([points[v] for v in sub]) != d - 1:
                 continue
             for simplex in recurse(sub, tight | {idx}, d - 1):
                 out.append((c,) + simplex)
         return out
 
-    return recurse(list(vertices), frozenset(), dim)
+    return recurse(list(range(len(vertices))), frozenset(), dim)
 
 
 def clip_and_volume(P: NewtonPolyhedron, t) -> Fraction:

@@ -2,8 +2,9 @@
 
 Nothing here calls the Groebner engine, the echelon backends, or the polytope
 pipeline: membership and lengths go through dense Macaulay-style elimination
-on integer lists, areas through the shoelace formula, powers through repeated
-multiplication on plain dicts.
+on integer lists, areas through the shoelace formula, 3-D volumes through
+exact integration of slice areas, powers through repeated multiplication on
+plain dicts.
 """
 
 from __future__ import annotations
@@ -180,6 +181,79 @@ def _half(pt, cx, cy) -> int:
     if dy > 0 or (dy == 0 and dx > 0):
         return 0
     return 1
+
+
+def _clip_halfplane(poly, a1, a2, b):
+    """The convex polygon `poly` (vertices in order) cut to a1*x + a2*y >= b."""
+    out = []
+    for i, (x, y) in enumerate(poly):
+        nx, ny = poly[(i + 1) % len(poly)]
+        f = a1 * x + a2 * y - b
+        g = a1 * nx + a2 * ny - b
+        if f >= 0:
+            out.append((x, y))
+        if (f > 0 > g) or (f < 0 < g):
+            r = f / (f - g)
+            out.append((x + r * (nx - x), y + r * (ny - y)))
+    return out
+
+
+def _solve3(rows, rhs):
+    """Cramer's rule for a 3x3 rational system; None when singular."""
+
+    def det(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    d = det(rows)
+    if d == 0:
+        return None
+    return tuple(
+        det([[rhs[r] if c == k else rows[r][c] for c in range(3)] for r in range(3)]) / d
+        for k in range(3)
+    )
+
+
+def slice_volume_3d(facets: Sequence[Tuple[Tuple[int, ...], int]], t) -> Fraction:
+    """Exact volume of {u in [0, 1]^3 : a.u >= t*c for every facet (a, c)}.
+
+    Integrates the area of the slice u_3 = s over s in [0, 1]: the slice is the
+    unit square cut by the half-planes a_1 u_1 + a_2 u_2 >= t*c - a_3 s, and
+    its area (shoelace) is quadratic in s between breakpoints.  The
+    breakpoints are the u_3 coordinates in [0, 1] of every nonsingular triple
+    of facet and cube planes, a superset of the heights of the region's
+    vertices.  A facet parallel to the slices makes the area jump at its
+    breakpoint, so each piece uses the open three-point (Milne) rule, which is
+    exact for quadratics and samples only inside the piece.
+    """
+    t = Fraction(t)
+    planes = [(tuple(Fraction(x) for x in a), t * c) for a, c in facets]
+    for i in range(3):
+        axis = tuple(Fraction(int(j == i)) for j in range(3))
+        planes += [(axis, Fraction(0)), (axis, Fraction(1))]
+    cuts = {Fraction(0), Fraction(1)}
+    for triple in itertools.combinations(planes, 3):
+        pt = _solve3([a for a, _ in triple], [b for _, b in triple])
+        if pt is not None and 0 <= pt[2] <= 1:
+            cuts.add(pt[2])
+
+    def area(s: Fraction) -> Fraction:
+        poly = [(Fraction(x), Fraction(y)) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        for a, c in facets:
+            poly = _clip_halfplane(poly, a[0], a[1], t * c - a[2] * s)
+        return shoelace_area(poly)
+
+    cuts = sorted(cuts)
+    return sum(
+        (
+            (hi - lo) * (2 * area((3 * lo + hi) / 4) - area((lo + hi) / 2) + 2 * area((lo + 3 * hi) / 4)) / 3
+            for lo, hi in zip(cuts, cuts[1:])
+        ),
+        Fraction(0),
+    )
 
 
 def brute_lattice_count(

@@ -216,6 +216,23 @@ def test_main_rejects_quotient_by_unit_ideal(tmp_path, capsys, ideal):
     assert "Traceback" not in captured.err
 
 
+def test_main_rejects_monomial_mode_above_dimension_cap(tmp_path, capsys):
+    path = tmp_path / "seven.fsig"
+    path.write_text(
+        "p = 3\n"
+        "vars = a, b, c, d, e, f, g\n"
+        "system = pair { a = [ a*b*c*d*e*f*g ], t = 1/2 }\n"
+        "mode = monomial\n"
+    )
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fsig: line 2, col 6: monomial mode supports at most 6 variables\n"
+    assert "Traceback" not in captured.err
+    six = "p = 3\nvars = a, b, c, d, e, f\nsystem = pair { a = [ a*b*c*d*e*f ], t = 1/2 }\nmode = monomial\n"
+    assert parse_problem_file(six).variables == ("a", "b", "c", "d", "e", "f")
+
+
 def test_main_method_flag(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)

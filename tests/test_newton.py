@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from fsig.newton import (
     newton_polyhedron,
 )
 
-from _oracles import brute_lattice_count, shoelace_area
+from _oracles import brute_lattice_count, shoelace_area, slice_volume_3d
 
 CUSP = [(3, 0), (0, 2)]
 
@@ -186,3 +187,73 @@ def test_dimension_cap():
     P = newton_polyhedron(pts)
     with pytest.raises(ValueError):
         clip_and_volume(P, Fraction(1, 2))
+
+
+def test_slice_oracle_closed_forms():
+    # <x*y*z> gives the box [t, 1]^3; <x, y, z> at t = 1 the cube minus the corner simplex
+    P = newton_polyhedron([(1, 1, 1)])
+    assert slice_volume_3d(P.facets, Fraction(1, 3)) == Fraction(8, 27)
+    P2 = newton_polyhedron([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert slice_volume_3d(P2.facets, 1) == Fraction(5, 6)
+    assert slice_volume_3d(P2.facets, 0) == 1
+
+
+def test_clip_and_volume_match_slice_oracle_randomized():
+    rng = random.Random(2025)
+    ts = [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for _ in range(40):
+        exps = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+        P = newton_polyhedron(exps)
+        for t in ts:
+            assert clip_and_volume(P, t) == slice_volume_3d(P.facets, t), (exps, t)
+
+
+def test_monomial_4var_pinned_volumes():
+    # values from the benchmark's pins for the monomial-4var sweep (cross-checked by qhull)
+    P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
+    assert clip_and_volume(P, Fraction(1, 3)) == Fraction(2436721, 2592000)
+    assert clip_and_volume(P, Fraction(1, 2)) == Fraction(3043, 4050)
+    assert clip_and_volume(P, 1) == Fraction(259, 8100)
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_integer_kernels_match_fraction_elimination():
+    from fsig.newton import _bareiss, _rref, _solve_int
+
+    rng = random.Random(31)
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.4:  # force a dependent row
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+        rank, pivot = _bareiss(rows)
+        assert rank == len(_rref([[Fraction(v) for v in r] for r in rows])[1]), rows
+        if nrows != ncols:
+            continue
+        det = _leibniz_det(rows)
+        assert (rank == nrows) == (det != 0), rows
+        rhs = [rng.randint(-5, 5) for _ in range(nrows)]
+        sol = _solve_int(rows, rhs)
+        if det == 0:
+            assert sol is None, rows
+            continue
+        assert abs(pivot) == abs(det), rows
+        nums, den = sol
+        assert den > 0 and math.gcd(den, *nums) == 1
+        cramer = [
+            Fraction(_leibniz_det([[rhs[r] if c == k else rows[r][c] for c in range(nrows)] for r in range(nrows)]), det)
+            for k in range(nrows)
+        ]
+        assert [Fraction(x, den) for x in nums] == cramer, (rows, rhs)

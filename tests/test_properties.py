@@ -1,4 +1,7 @@
-"""Randomized property suites; each runs at least 100 cases at <= 3 variables.
+"""Randomized property suites; each runs at least 100 cases at <= 3 variables,
+except the monomial-volume suites at the end, which run 15-30 ideals in 2-4
+variables (Blickle-Schwede-Tucker: positivity exactly below the F-pure
+threshold, monotonicity, symmetry, convexity for a principal ideal).
 
 The corpora stay deliberately small per case (few generators, low degree) so
 the whole module runs in well under a minute; seeds are fixed so failures are
@@ -181,3 +184,69 @@ def test_lattice_count_volume_envelope_on_cusp_ideal():
         C = max(errors[1] * p, errors[2] * p**2)
         for e in range(3, emax + 1):
             assert errors[e] <= C / p**e, (p, t, e, errors)
+
+
+# -- monomial volumes s(t) = vol(t*P cut to [0, 1]^n), n = 2..4 -----------
+
+
+def _random_monomial_exponents(rng, nvars, max_gens=3, max_exp=3):
+    count = rng.randint(1, max_gens)
+    gens = []
+    while len(gens) < count:
+        g = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        if any(g):
+            gens.append(g)
+    return gens
+
+
+def _fpt(P):
+    """min over facets (a, c) of sum(a)/c, read from the facets alone."""
+    return min(Fraction(sum(a), c) for a, c in P.facets)
+
+
+def _second_differences(values):
+    return [a - 2 * b + c for a, b, c in zip(values, values[1:], values[2:])]
+
+
+def test_volume_positive_exactly_below_fpt():
+    rng = random.Random(1006)
+    for _ in range(30):
+        P = newton_polyhedron(_random_monomial_exponents(rng, rng.randint(2, 4)))
+        fpt = _fpt(P)
+        for t in (fpt - Fraction(1, 97), fpt, fpt + Fraction(1, 97)):
+            assert (clip_and_volume(P, t) > 0) == (t < fpt), (P.generators, t)
+
+
+def test_volume_nonincreasing_along_sweep():
+    rng = random.Random(1007)
+    for _ in range(15):
+        P = newton_polyhedron(_random_monomial_exponents(rng, rng.randint(2, 4)))
+        values = [clip_and_volume(P, Fraction(k, 8)) for k in range(0, 9)]
+        assert values[0] == 1
+        for a, b in zip(values, values[1:]):
+            assert b <= a, P.generators
+
+
+def test_volume_invariant_under_variable_permutation():
+    rng = random.Random(1008)
+    for _ in range(20):
+        nvars = rng.randint(2, 4)
+        exps = _random_monomial_exponents(rng, nvars)
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        permuted = [tuple(g[i] for i in perm) for g in exps]
+        P, Q = newton_polyhedron(exps), newton_polyhedron(permuted)
+        for t in (Fraction(1, 5), Fraction(1, 2), Fraction(3, 4)):
+            assert clip_and_volume(P, t) == clip_and_volume(Q, t), (exps, perm, t)
+
+
+def test_volume_convex_for_single_monomial():
+    rng = random.Random(1009)
+    for _ in range(15):
+        P = newton_polyhedron(_random_monomial_exponents(rng, rng.randint(2, 4), max_gens=1))
+        values = [clip_and_volume(P, Fraction(k, 12)) for k in range(0, 13)]
+        assert all(d >= 0 for d in _second_differences(values)), P.generators
+    # not for every monomial ideal: <x^3, y^2> has s(t) = 1 - 3t^2 on [0, 1/3]
+    cusp = newton_polyhedron([(3, 0), (0, 2)])
+    values = [clip_and_volume(cusp, Fraction(k, 12)) for k in range(0, 3)]
+    assert _second_differences(values) == [Fraction(-1, 24)]
