@@ -1,48 +1,75 @@
 """The box matrix of both a_e routes, and incremental row echelon over F_p.
 
 box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
-columns and which cells can have a row.  A vector is a dict mapping column
-index to a nonzero coefficient in [1, p); the zero vector is the empty dict.
-A row holds one entry per generator term landing in the box, out of
-#gens * |box| columns, so a sparse row costs what it holds.
+columns and which cells have a row.  It reads the matrix two ways: row(g)
+for one cell (the colon's term-order walk) and slabs() term-major, where
+each term writes only the cells it reaches (the rank route).  A vector is a
+dict mapping column index to a nonzero coefficient in [1, p); the zero
+vector is the empty dict.  A row holds one entry per generator term landing
+in the box, out of #gens * |box| columns, so a sparse row costs what it
+holds.  When every generator is one monomial, distinct cells never share a
+column, so the non-empty rows are independent.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import product
 from operator import lt, mul
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+
+Row = Dict[int, int]
 
 
 def box_rows(
     box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]
-) -> Tuple[Callable[[Tuple[int, ...]], Dict[int, int]], List[int]]:
-    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and the reach of the rows.
+) -> Tuple[Callable[[Tuple[int, ...]], Row], Callable[[], Iterator[List[Row]]]]:
+    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and slabs() of all rows.
 
     polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
     has column j*|box| + the mixed-radix index of t (first variable most
     significant).  Term m reaches cell g exactly when g_i < box_i - m_i for
-    every i, so terms never share a column.  reach[i] is the largest
-    box_i - m_i over the in-box terms (0 if none): a cell with a non-empty
-    row lies below reach.
+    every i, so terms never share a column.  slabs() yields, for each value
+    of the first exponent up to the largest box_1 - m_1, the non-empty rows
+    of that slab in cell order; every in-box term walks only the sub-box
+    prod_{i>=2} [0, box_i - m_i) it reaches.  Concatenated, the slabs are
+    [row(g) for g in the box if row(g)] in the same order.  box has at least
+    one side.
     """
     strides, size = [], 1
     for b in reversed(box):
         strides.insert(0, size)
         size *= b
-    reach = [0] * len(box)
     terms = []
     for j, f in enumerate(polys):
         for m, c in f.items():
             bounds = tuple(b - u for b, u in zip(box, m))
             if all(b > 0 for b in bounds):
                 terms.append((bounds, j * size + sum(map(mul, m, strides)), c))
-                reach = list(map(max, reach, bounds))
 
-    def row(g: Tuple[int, ...]) -> Dict[int, int]:
+    def row(g: Tuple[int, ...]) -> Row:
         base = sum(map(mul, g, strides))
         return {off + base: c for bounds, off, c in terms if all(map(lt, g, bounds))}
 
-    return row, reach
+    def slabs() -> Iterator[List[Row]]:
+        # in one slab a term reaches, for each head (the offset of a reached
+        # cell of the middle variables), a run of `last` consecutive cells
+        walk = []
+        for bounds, off, c in terms:
+            heads = [sum(map(mul, g, strides[1:-1])) for g in product(*map(range, bounds[1:-1]))]
+            walk.append((bounds[0], off, c, heads, bounds[-1] if bounds[1:] else 1))
+        for a in range(max((w[0] for w in walk), default=0)):
+            slab: Dict[int, Row] = defaultdict(dict)
+            base = a * strides[0]
+            for b, off, c, heads, last in walk:
+                if a < b:
+                    at = off + base
+                    for h in heads:
+                        for k in range(h, h + last):
+                            slab[k][at + k] = c
+            yield [slab[k] for k in sorted(slab)]
+
+    return row, slabs
 
 
 class Echelon:
@@ -75,10 +102,11 @@ class Echelon:
             lead = max(vec)
             row = self.pivots.get(lead)
             if row is None:
-                inv = pow(vec[lead], -1, p)
-                vec = {k: (v * inv) % p for k, v in vec.items()}
-                if self.track:
-                    coords = {k: (v * inv) % p for k, v in coords.items()}
+                if vec[lead] != 1:
+                    inv = pow(vec[lead], -1, p)
+                    vec = {k: (v * inv) % p for k, v in vec.items()}
+                    if self.track:
+                        coords = {k: (v * inv) % p for k, v in coords.items()}
                 self.pivots[lead] = vec
                 if self.track:
                     self.coords[lead] = coords

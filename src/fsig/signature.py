@@ -4,18 +4,21 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  Both take rows from _linalg.box_rows
-and reduce them with _linalg.Echelon, so method="both" checks what differs --
-the walks (term order vs the reach) and read-outs (reduced basis and
-quotient_length vs pivot count) -- but not the rows or the echelon.  Those
-are checked in tests only: tests/test_linalg.py against a brute-force box and
-tests/_oracles.py (dense elimination, Macaulay membership, brute-force
-standard-monomial counts).
+basis route is the semantic reference.  Both read the matrix of
+_linalg.box_rows, through its two row builders: the colon walks cells in
+term order and calls row(g); the rank route takes slabs(), built term by
+term, and counts the rows when every generator of b_e is a monomial (no two
+cells then share a column).  So method="both" checks the two row builders,
+the walks and the read-outs (reduced basis and quotient_length vs pivot
+count or row count), but not the shared echelon.  That is checked in tests
+only: tests/test_linalg.py against a brute-force box and tests/_oracles.py
+(dense elimination, Macaulay membership, brute-force standard-monomial and
+union-of-boxes counts).  Each system memoizes its I_e, which the basis route
+and the prime candidate both read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,8 +64,16 @@ def splitting_ideal(sys: FGradedSystem, e: int) -> Ideal:
     return colon(maximal_bracket(sys.ring, e), sys.b_of(e))
 
 
+def _memo_splitting_ideal(sys: FGradedSystem, e: int) -> Ideal:
+    """splitting_ideal(sys, e), built once per system and level."""
+    got = sys.splitting_ideals.get(e)
+    if got is None:
+        got = sys.splitting_ideals[e] = splitting_ideal(sys, e)
+    return got
+
+
 def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
-    length = quotient_length(splitting_ideal(sys, e))
+    length = quotient_length(_memo_splitting_ideal(sys, e))
     if length == math.inf:
         raise InternalInvariantError("splitting ideal is not zero-dimensional")
     return int(length)
@@ -71,12 +82,14 @@ def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
 def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
     """Rank over F_p of g -> (g*f_j mod <x_i^q>) on the box basis of exponents < q."""
     ring = sys.ring
-    q = ring.p**e
-    row, reach = _linalg.box_rows([q] * ring.nvars, [f.terms for f in sys.b_of(e).generators])
+    polys = [f.terms for f in sys.b_of(e).generators]
+    _, slabs = _linalg.box_rows([ring.p**e] * ring.nvars, polys)
+    if all(len(f) == 1 for f in polys):
+        # monomial generators: no two cells share a column, so every non-empty row counts
+        return sum(map(len, slabs()))
     ech = _linalg.Echelon(ring.p)
-    for g in itertools.product(*map(range, reach)):
-        vec = row(g)
-        if vec:
+    for slab in slabs():
+        for vec in slab:
             ech.insert(vec)
     return ech.rank
 
@@ -299,7 +312,7 @@ def splitting_prime_candidate(
         diag["reason"] = f"not F-pure up to emax={emax}"
         return None, diag
     diag["witness"] = witness
-    I_top = splitting_ideal(sys, emax)
+    I_top = _memo_splitting_ideal(sys, emax)
     gb = I_top.groebner_basis()
     p = sys.ring.p
     kept, dropped = [], []

@@ -2,7 +2,9 @@
 
 Three constructors cover the package's inputs: colon families attached to a
 quotient ideal, power families attached to an ideal with a rational exponent,
-and products of families.  Every family memoizes its ideals per level.
+and products of families.  Every family memoizes its ideals per level, and
+keeps a slot for the splitting ideals I_e that fsig.signature derives from
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class FGradedSystem:
     def __init__(self, ring: PolyRing):
         self.ring = ring
         self._cache: Dict[int, Ideal] = {}
+        self.splitting_ideals: Dict[int, Ideal] = {}  # I_e, memoized by fsig.signature
 
     def b_of(self, e: int) -> Ideal:
         if e < 1:

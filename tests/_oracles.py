@@ -134,6 +134,19 @@ def count_standard_monomials(lead_monomials: Sequence[Tuple[int, ...]], bound: i
     return count
 
 
+def union_of_boxes_count(corners: Sequence[Tuple[int, ...]]) -> int:
+    """Cells g >= 0 with g < c componentwise for some corner c, by enumeration.
+
+    Corner entries may be zero or negative (an empty box).
+    """
+    top = [max(0, max(side)) for side in zip(*corners)]
+    return sum(
+        1
+        for g in itertools.product(*map(range, top))
+        if any(all(u < c for u, c in zip(g, corner)) for corner in corners)
+    )
+
+
 def repeated_product(terms: Dict[Tuple[int, ...], int], k: int, p: int):
     """terms^k by k-1 naive convolutions on plain dicts."""
     nvars = len(next(iter(terms)))

@@ -240,6 +240,23 @@ def test_main_method_flag(tmp_path, capsys):
     assert main([str(path), "--method", "groebner", "--emax", "2"]) == 0
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.fsig")),
+    ids=lambda path: path.stem,
+)
+def test_methods_print_identical_output(path, capsys):
+    # the basis route, the rank route and their cross-check report the same bytes
+    for fmt in ([], ["--json"]):
+        outputs = []
+        for method in ([], ["--method", "linear"], ["--method", "groebner"]):
+            assert main([str(path), *method, *fmt]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+
 def test_ceiling_convention_flag_changes_levels(tmp_path, capsys):
     base = "p = 3\nvars = x, y, z\nsystem = pair { a = [z], t = 1/2 }\nmode = signature\nemax = 1\n"
     default_file = tmp_path / "d.fsig"

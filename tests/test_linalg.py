@@ -61,23 +61,27 @@ def test_echelon_rank_and_dependencies_randomized(p):
         assert plain.rank == tracked.rank == len(vectors) == expected
 
 
+def _random_box_problem(rng):
+    """n = 1-3, box sides 0-4, 1-3 polys of up to 4 terms with exponents up to one past the box."""
+    n = rng.randint(1, 3)
+    box = [rng.choice([0, 1, 2, 3, 4]) for _ in range(n)]
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            # exponents up to one past the box side, so some terms never land
+            terms[tuple(rng.randint(0, b + 1) for b in box)] = rng.randint(1, 6)
+        polys.append(terms)
+    return box, polys
+
+
 def test_box_rows_match_brute_force_randomized():
     rng = random.Random(4242)
     for _ in range(200):
-        n = rng.randint(1, 3)
-        box = [rng.choice([0, 1, 2, 3, 4]) for _ in range(n)]
-        polys = []
-        for _ in range(rng.randint(1, 3)):
-            terms = {}
-            for _ in range(rng.randint(0, 4)):
-                # exponents up to one past the box side, so some terms never land
-                terms[tuple(rng.randint(0, b + 1) for b in box)] = rng.randint(1, 6)
-            polys.append(terms)
+        box, polys = _random_box_problem(rng)
         cells = list(itertools.product(*(range(b) for b in box)))
         position = {t: k for k, t in enumerate(cells)}  # enumeration order = column order
-        row, reach = box_rows(box, polys)
-        landing = [m for terms in polys for m in terms if all(u < b for u, b in zip(m, box))]
-        assert reach == [max((b - m[i] for m in landing), default=0) for i, b in enumerate(box)]
+        row, _ = box_rows(box, polys)
         # every cell of the box and every cell up to one step outside it
         for g in itertools.product(*(range(b + 2) for b in box)):
             expected = {}
@@ -89,5 +93,15 @@ def test_box_rows_match_brute_force_randomized():
             got = row(g)
             assert got == expected, (box, polys, g)
             assert all(got.values())
-            if got:
-                assert all(u < r for u, r in zip(g, reach)), (box, polys, g, reach)
+
+
+def test_box_slabs_match_rows_randomized():
+    rng = random.Random(4343)
+    for _ in range(300):
+        box, polys = _random_box_problem(rng)
+        cells = list(itertools.product(*(range(b) for b in box)))
+        row, slabs = box_rows(box, polys)
+        got = list(slabs())
+        assert [r for slab in got for r in slab] == [row(g) for g in cells if row(g)], (box, polys)
+        # slab a holds exactly the non-empty rows of the cells with first exponent a
+        assert got == [[row(g) for g in cells if g[0] == a and row(g)] for a in range(len(got))]

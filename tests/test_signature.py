@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from _oracles import union_of_boxes_count
+from fsig._linalg import Echelon, box_rows
 from fsig.groebner import Ideal, ideal_membership
 from fsig.ideals import bracket_power, colon, ideal_equals
 from fsig.poly import PolyRing, Polynomial
 from fsig.signature import (
     InfeasibleError,
     SplittingReport,
+    _splitting_number_rank,
     compatibility_check,
     is_f_pure,
     maximal_bracket,
@@ -19,7 +23,7 @@ from fsig.signature import (
     splitting_prime_candidate,
     splitting_ratio,
 )
-from fsig.systems import PairSystem, ProductSystem, QuotientSystem
+from fsig.systems import FGradedSystem, PairSystem, ProductSystem, QuotientSystem
 
 
 def whitney(p=3):
@@ -335,3 +339,81 @@ def test_sequence_partial_on_cap(monkeypatch):
     assert len(rep.rows) == 1
     with pytest.raises(ResourceLimitError):
         sig.signature_sequence(wh, 3, on_cap="raise")
+
+
+def _pair(R, text, t):
+    return PairSystem(R, Ideal(R, [R.parse(text)]), Fraction(t))
+
+
+def _cone(p):
+    R = PolyRing.make(p, ["x", "y", "z"])
+    return QuotientSystem(R, Ideal(R, [R.parse("x*y - z^2")]))
+
+
+def _cusp(p):
+    return _pair(PolyRing.make(p, ["a", "b"]), "a^3 - b^2", Fraction(1, 2))
+
+
+def _snc(p):
+    R = PolyRing.make(p, ["x", "y"])
+    return ProductSystem(R, [_pair(R, "x", Fraction(1, 2)), _pair(R, "y", Fraction(1, 2))])
+
+
+# Pins and provenance as in perfbench/cases.py: cone a_e = q^2/2 and snc
+# a_e = ((q + 1)/2)^2 are closed forms; the cusp values have no closed form
+# and were matched by an independent dense rank over weighted-degree blocks.
+@pytest.mark.parametrize(
+    "system, expected",
+    [
+        (lambda: _cone(2), tuple((2**e) ** 2 // 2 for e in range(1, 6))),
+        (lambda: _cusp(3), (3, 18, 135, 1134)),
+        (lambda: _cusp(5), (7, 117)),
+        (lambda: _snc(5), (9, 169, 3969)),
+    ],
+    ids=["cone-p2", "cusp-p3", "cusp-p5", "snc-p5"],
+)
+def test_rank_route_pins(system, expected):
+    sys_ = system()
+    got = tuple(splitting_number(sys_, e, method="linear") for e in range(1, len(expected) + 1))
+    assert got == expected
+
+
+class _FixedSystem(FGradedSystem):
+    """b_e = one fixed ideal at every level, to drive the rank route on chosen generators."""
+
+    def __init__(self, ring, ideal):
+        super().__init__(ring)
+        self.ideal = ideal
+
+    def _compute(self, e):
+        return self.ideal
+
+    def describe(self):
+        return "fixed"
+
+
+def test_monomial_rank_route_counts_union_of_boxes_randomized():
+    # all-monomial b_e: the rank route counts non-empty rows; the rank is the
+    # number of cells in the union of the boxes prod [0, q - m_j)
+    rng = random.Random(6161)
+    levels = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        p, e = rng.choice(levels)
+        q = p**e
+        R = PolyRing.make(p, ["x", "y", "z"][:n])
+        # exponents up to one past the box, so some generators lie outside it
+        exps = [tuple(rng.randint(0, q + 1) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # a non-minimal generator: a multiple of another
+            m = rng.choice(exps)
+            exps.append(tuple(u + rng.randint(0, 2) for u in m))
+        if rng.random() < 0.5:  # a duplicate generator
+            exps.append(rng.choice(exps))
+        gens = [R.monomial(m, rng.randint(1, p - 1)) for m in exps]
+        got = _splitting_number_rank(_FixedSystem(R, Ideal(R, gens)), e)
+        assert got == union_of_boxes_count([tuple(q - u for u in m) for m in exps]), (p, e, exps)
+        row, _ = box_rows([q] * n, [g.terms for g in gens])
+        ech = Echelon(p)
+        for g in itertools.product(range(q), repeat=n):
+            ech.insert(row(g))
+        assert got == ech.rank, (p, e, exps)
