@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
@@ -14,9 +15,7 @@ from .poly import (
     TermOrder,
     monomial_div,
     monomial_divides,
-    monomial_gcd,
     monomial_lcm,
-    monomial_mul,
 )
 
 DEFAULT_MAX_PAIRS = 40000
@@ -83,7 +82,10 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 
 
 def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: TermOrder) -> Polynomial:
-    """Full remainder of f by the monic reducers `lead`, as (leading monomial, g) pairs."""
+    """Full remainder of f by the monic reducers `lead`, as (leading monomial, g) pairs.
+
+    The remainder's terms are stored in decreasing order, so its first term is its lead.
+    """
     ring = f.ring
     p = ring.p
     work = dict(f.terms)
@@ -94,10 +96,10 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: 
         m = max(work, key=keys.__getitem__)
         c = work[m]
         for lm, g in lead:
-            if monomial_divides(lm, m):
-                shift = monomial_div(m, lm)
+            if all(map(le, lm, m)):
+                shift = tuple(map(sub, m, lm))
                 for gm, gc in g.terms.items():
-                    t = monomial_mul(gm, shift)
+                    t = tuple(map(add, gm, shift))
                     v = (work.get(t, 0) - c * gc) % p
                     if v:
                         if t not in keys:
@@ -157,10 +159,12 @@ def buchberger(
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Normal selection strategy (smallest pair lcm in the order, then smallest
-    indices; each key is computed once, on a heap), the coprime and chain pair
-    criteria, full-tail reductions by the monic elements found so far.
-    Deterministic for a fixed input.  Caps raise ResourceLimitError rather
-    than truncating silently.
+    indices; each lcm and its key are computed once, on a heap), the coprime
+    and chain pair criteria, full-tail reductions by the monic elements found
+    so far.  Every element is kept monic beside its leading monomial, so an
+    S-pair is built from the two known leads and their queued lcm without
+    rescanning either polynomial.  Deterministic for a fixed input.  Caps
+    raise ResourceLimitError rather than truncating silently.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -188,19 +192,21 @@ def buchberger(
             lead.append((g.leading_term(order)[0], g))
 
     pending = set()  # queued pairs, for the chain criterion
-    queue: List[Tuple[object, int, int]] = []  # (order key of the pair's lcm, i, j)
+    queue: List[Tuple[object, int, int, Exponents]] = []  # (order key of lcm, i, j, lcm)
 
     def enqueue(j: int):
+        lm_j = lead[j][0]
         for i in range(j):
+            lcm = tuple(map(max, lead[i][0], lm_j))
             pending.add((i, j))
-            heapq.heappush(queue, (order.key(monomial_lcm(lead[i][0], lead[j][0])), i, j))
+            heapq.heappush(queue, (order.key(lcm), i, j, lcm))
 
     for j in range(len(lead)):
         enqueue(j)
     pairs_done = 0
 
     while queue:
-        _, i, j = heapq.heappop(queue)
+        _, i, j, lcm = heapq.heappop(queue)
         pending.discard((i, j))
         pairs_done += 1
         if pairs_done > max_pairs:
@@ -208,27 +214,30 @@ def buchberger(
                 f"pair cap {max_pairs} exceeded", pairs_done, len(lead)
             )
         (lm_i, f_i), (lm_j, f_j) = lead[i], lead[j]
-        if not any(monomial_gcd(lm_i, lm_j)):
+        if not any(map(min, lm_i, lm_j)):
             continue  # coprime leading monomials
-        lcm = monomial_lcm(lm_i, lm_j)
         if any(
             k != i
             and k != j
-            and monomial_divides(lm_k, lcm)
+            and all(map(le, lm_k, lcm))
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, (lm_k, _) in enumerate(lead)
         ):
             continue  # chain criterion
-        h = _reduce(s_polynomial(f_i, f_j, order), lead, order)
+        # both reducers are monic, so the S-pair is f_i*(lcm/lm_i) - f_j*(lcm/lm_j)
+        spair = f_i.monomial_shift(tuple(map(sub, lcm, lm_i))) - f_j.monomial_shift(
+            tuple(map(sub, lcm, lm_j))
+        )
+        h = _reduce(spair, lead, order)
         if h.is_zero():
             continue
         if len(lead) + 1 > max_basis:
             raise ResourceLimitError(
                 f"basis cap {max_basis} exceeded", pairs_done, len(lead) + 1
             )
-        h = h.monic(order)
-        lead.append((h.leading_term(order)[0], h))
+        lm = next(iter(h.terms))
+        lead.append((lm, h.scale(ring.field.inv(h.terms[lm]))))
         enqueue(len(lead) - 1)
 
     return _reduce_basis(ring, order, lead)

@@ -118,7 +118,14 @@ def intersection(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
-    # t*I + (1-t)*J in an extended ring, eliminate t with a block order
+    """I cap J as the t-free part of the reduced basis of t*I + (1-t)*J.
+
+    The extended ring's block order eliminates t, so by the elimination
+    theorem the t-free elements of its reduced basis are the reduced basis of
+    I cap J under the ring's order (their leads are compared by that order
+    alone, and they stay monic, minimal and mutually reduced).  The result
+    carries that basis, so later basis queries run no second Buchberger.
+    """
     ring = I.ring
     ext, _ = ring.extended()
     t = ext.variable(ext.variables[0])
@@ -134,7 +141,9 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
     for g in gb:
         if all(m[0] == 0 for m in g.terms):
             out.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, reduce=False))
-    return Ideal(ring, out)
+    result = Ideal(ring, out)
+    result.set_groebner_basis(GroebnerBasis(ring, ring.order, out))
+    return result
 
 
 # -- exact division -----------------------------------------------------
@@ -150,8 +159,10 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     work = dict(f.terms)
     quo: Dict[Exponents, int] = {}
     p = ring.p
+    key = order.key
+    keys = {m: key(m) for m in work}  # each term's order key, built once
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=keys.__getitem__)
         c = work[m]
         if not monomial_divides(lm_g, m):
             raise ExactDivisionError(f"{g} does not divide {f}")
@@ -162,6 +173,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
             tmono = monomial_mul(gm, shift)
             v = (work.get(tmono, 0) - factor * gc) % p
             if v:
+                if tmono not in keys:
+                    keys[tmono] = key(tmono)
                 work[tmono] = v
             else:
                 work.pop(tmono, None)
@@ -247,22 +260,24 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     one = (0,) * n
     heapq.heappush(heap, (order.key(one), one))
     seen.add(one)
-    lead_found: List[Exponents] = []
+    standard = set()  # candidates confirmed standard so far
     gb_elems: List[Polynomial] = []
 
     while heap:
         _, m = heapq.heappop(heap)
-        if any(monomial_divides(lm, m) for lm in lead_found):
+        # every smaller monomial is settled, so m is divisible by a lead found
+        # so far exactly when one of its divisors m - e_i is not standard
+        if any(m[i] and m[:i] + (m[i] - 1,) + m[i + 1 :] not in standard for i in range(n)):
             continue
         dep = ech.insert(row(m), label=m)
         if dep is None:
+            standard.add(m)
             for i in range(n):
                 cand = tuple(m[k] + (1 if k == i else 0) for k in range(n))
                 if cand not in seen:
                     seen.add(cand)
                     heapq.heappush(heap, (order.key(cand), cand))
         else:
-            lead_found.append(m)
             terms = {m: 1}
             for b, c in dep.items():
                 terms[b] = (-c) % p

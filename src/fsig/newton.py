@@ -16,72 +16,33 @@ operation and that cost dominated clipping:
   tight halfspaces are kept as the vertex's incidence;
 * the triangulation picks each subface by incidence and checks affine rank
   with `_bareiss` on the vertices scaled to their common denominator;
-* the volume clears each simplex's denominators and takes one `_bareiss`
-  determinant per simplex.
+* the triangulation keeps each simplex as integer points beside its
+  Fraction points (vertex numerators over den, a centroid of k vertices as
+  coordinate sums over k*den), and the volume scales each simplex to its
+  common denominator, takes one `_bareiss` determinant, and sums the
+  determinants per denominator, making one Fraction per distinct one.
 
-Only the facet search of `newton_polyhedron` still eliminates over Fractions
-(`_rref`, for a one-dimensional kernel); its rank test is `_bareiss` too.
+The facet search of `newton_polyhedron` is integer too: a candidate normal is
+the kernel of a rank-n n x (n+1) integer system, its vector of signed maximal
+minors, which `_solve_int` returns already primitive; the facet's rank test is
+`_bareiss`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 DIMENSION_CAP = 6
 
 Vector = Tuple[Fraction, ...]
+IntPoint = Tuple[Tuple[int, ...], int]  # (numerators, denominator)
 
 
 # -- exact linear algebra helpers ----------------------------------------
-
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _nullspace_line(rows: List[List[Fraction]], ncols: int) -> Optional[List[Fraction]]:
-    """The kernel vector when the kernel is exactly one-dimensional."""
-    rref, pivots = _rref([list(r) for r in rows]) if rows else ([], [])
-    if ncols - len(pivots) != 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for row, pc in zip(rref, pivots):
-        vec[pc] = -row[free]
-    return vec
-
-
-def _primitive(vec: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
-    denom = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    g = math.gcd(*(abs(i) for i in ints))
-    if g == 0:
-        return None
-    return tuple(i // g for i in ints)
-
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
     """Fraction-free forward elimination of integer rows: (rank, last pivot).
@@ -178,21 +139,22 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
     axes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for k in range(1, min(n, len(points)) + 1):
         for T in itertools.combinations(points, k):
-            for D in itertools.combinations(range(n), n - k):
-                rows = [[Fraction(u) for u in pt] + [Fraction(-1)] for pt in T]
-                for i in D:
-                    rows.append([Fraction(1 if j == i else 0) for j in range(n)] + [Fraction(0)])
-                kernel = _nullspace_line(rows, n + 1)
-                if kernel is None:
+            for free in itertools.combinations(range(n), k):
+                # (a, c) with a zero off `free` and a.pt = c on T spans the kernel
+                # of an n x (n+1) integer system: its signed maximal minors.  The
+                # minor without the c column is the determinant of the k x k
+                # system below; when it is 0 the kernel is wider than a line or
+                # has c = 0, and no facet comes from it.
+                sol = _solve_int([[pt[i] for i in free] for pt in T], [1] * k)
+                if sol is None:
                     continue
-                prim = _primitive(kernel)
-                if prim is None:
+                nums, c = sol  # gcd-reduced with c > 0: already primitive
+                if any(x < 0 for x in nums):
                     continue
-                a, c = prim[:n], prim[n]
-                if all(x <= 0 for x in a):
-                    a, c = tuple(-x for x in a), -c
-                if c <= 0 or any(x < 0 for x in a):
-                    continue
+                a = [0] * n
+                for i, x in zip(free, nums):
+                    a[i] = x
+                a = tuple(a)
                 if any(sum(x * u for x, u in zip(a, pt)) < c for pt in points):
                     continue
                 tight_pts = [pt for pt in points if sum(x * u for x, u in zip(a, pt)) == c]
@@ -210,23 +172,30 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
 
 @dataclass(frozen=True)
 class ClippedPolytope:
-    """t*P intersected with the unit cube: halfspaces, vertices, triangulation."""
+    """t*P intersected with the unit cube: halfspaces, vertices, triangulation.
+
+    int_simplices holds the same simplices as integer points (numerators,
+    denominator); it is derived data, left out of equality and repr.
+    """
 
     nvars: int
     halfspaces: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
     vertices: Tuple[Vector, ...]
     simplices: Tuple[Tuple[Vector, ...], ...]
+    int_simplices: Tuple[Tuple[IntPoint, ...], ...] = field(compare=False, repr=False)
 
     def volume(self) -> Fraction:
+        """Sum of |det| / n! over the simplices, one Fraction per common denominator."""
         n = self.nvars
-        total = Fraction(0)
-        for simplex in self.simplices:
-            den = math.lcm(*(v.denominator for pt in simplex for v in pt))
-            pts = [[v.numerator * (den // v.denominator) for v in pt] for pt in simplex]
+        dets: Dict[int, int] = {}  # common denominator L -> summed |det| at scale L
+        for simplex in self.int_simplices:
+            den = math.lcm(*(d for _, d in simplex))
+            pts = [[x * (den // d) for x in nums] for nums, d in simplex]
             base = pts[0]
             rank, det = _bareiss([[a - b for a, b in zip(pt, base)] for pt in pts[1:]])
             if rank == n:
-                total += Fraction(abs(det), den**n)
+                dets[den] = dets.get(den, 0) + abs(det)
+        total = sum((Fraction(v, d**n) for d, v in dets.items()), Fraction(0))
         return total / math.factorial(n)
 
 
@@ -279,10 +248,12 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
     vertices = tuple(tuple(Fraction(x, den) for x in pt) for pt in points)
 
     if len(vertices) <= n or _affine_rank(points) < n:
-        return ClippedPolytope(n, halfspaces, vertices, ())
+        return ClippedPolytope(n, halfspaces, vertices, (), ())
 
-    simplices = _star_triangulation(vertices, points, den, [inc for _, inc in scaled], n)
-    return ClippedPolytope(n, halfspaces, vertices, tuple(simplices))
+    pairs = _star_triangulation(vertices, points, den, [inc for _, inc in scaled], n)
+    return ClippedPolytope(
+        n, halfspaces, vertices, tuple(s for s, _ in pairs), tuple(s for _, s in pairs)
+    )
 
 
 def _star_triangulation(
@@ -291,20 +262,26 @@ def _star_triangulation(
     den: int,
     incidences: Sequence[frozenset],
     dim: int,
-) -> List[Tuple[Vector, ...]]:
+) -> List[Tuple[Tuple[Vector, ...], Tuple[IntPoint, ...]]]:
     """Cone from the face centroid over recursively triangulated subfaces.
 
     points[i] is vertices[i] times den, and incidences[i] the halfspace
     indices tight at it.  A face is a sorted list of vertex indices; its
     subfaces are its vertices tight at one more halfspace, in halfspace order.
+    Each simplex comes twice: as Fraction points and as integer points, a
+    vertex as its numerators over den and a centroid of k vertices as their
+    coordinate sums over k * den.
     """
 
-    def recurse(face: List[int], tight: frozenset, d: int) -> List[Tuple[Vector, ...]]:
+    def recurse(face: List[int], tight: frozenset, d: int):
         if d == 1:  # an edge: its two end vertices, first and last in sorted order
-            return [(vertices[face[0]], vertices[face[-1]])]
+            a, b = face[0], face[-1]
+            return [((vertices[a], vertices[b]), ((points[a], den), (points[b], den)))]
         k = len(face)
-        c = tuple(Fraction(s, k * den) for s in map(sum, zip(*(points[v] for v in face))))
-        out: List[Tuple[Vector, ...]] = []
+        sums = tuple(map(sum, zip(*(points[v] for v in face))))
+        c = tuple(Fraction(s, k * den) for s in sums)
+        ci = (sums, k * den)
+        out = []
         done = set()
         for idx in sorted(frozenset().union(*(incidences[v] for v in face)) - tight):
             sub = [v for v in face if idx in incidences[v]]
@@ -316,8 +293,8 @@ def _star_triangulation(
             done.add(key)
             if _affine_rank([points[v] for v in sub]) != d - 1:
                 continue
-            for simplex in recurse(sub, tight | {idx}, d - 1):
-                out.append((c,) + simplex)
+            for simplex, ints in recurse(sub, tight | {idx}, d - 1):
+                out.append(((c,) + simplex, (ci,) + ints))
         return out
 
     return recurse(list(range(len(vertices))), frozenset(), dim)

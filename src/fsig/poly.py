@@ -8,6 +8,7 @@ construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 from typing import Dict, Optional, Tuple
 
 Exponents = Tuple[int, ...]
@@ -88,15 +89,20 @@ class TermOrder:
         if self.kind == "block" and (self.block_size < 1 or self.inner is None):
             raise ValueError("block order needs block_size >= 1 and an inner order")
 
-    def key(self, exps: Exponents):
-        """Sort key; key(a) > key(b) iff monomial a > monomial b."""
+    def key(self, exps: Exponents) -> Tuple[int, ...]:
+        """Flat sort key; key(a) > key(b) iff monomial a > monomial b.
+
+        degrevlex is the degree followed by the negated reversed exponents; a
+        block order gives its head's degrevlex fields followed by the inner
+        order's fields for the tail.
+        """
+        if self.kind == "degrevlex":
+            return (sum(exps), *map(neg, reversed(exps)))
         if self.kind == "lex":
             return exps
-        if self.kind == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        head = exps[: self.block_size]
-        tail = exps[self.block_size :]
-        return ((sum(head), tuple(-e for e in reversed(head))), self.inner.key(tail))
+        b = self.block_size
+        head = exps[:b]
+        return (sum(head), *map(neg, reversed(head)), *self.inner.key(exps[b:]))
 
     def greater(self, a: Exponents, b: Exponents) -> bool:
         return self.key(a) > self.key(b)
@@ -109,25 +115,25 @@ LEX = TermOrder("lex")
 # -- monomial helpers (exponent tuples) --------------------------------------
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    if not monomial_divides(b, a):
+    if not all(map(le, b, a)):
         raise ValueError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_gcd(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ plain dicts.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -40,6 +41,75 @@ def dense_echelon_modp(rows: List[List[int]], p: int) -> List[Tuple[int, List[in
         if len(pivots) == len(rows):
             break
     return pivots
+
+
+def fraction_rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1, 1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def fraction_newton_facets(points: Sequence[Tuple[int, ...]]) -> List[Tuple[Tuple[int, ...], int]]:
+    """Sorted facets (a, c), a.u >= c, of conv(points) + orthant by rational kernels.
+
+    Each candidate hyperplane passes through k of the points and is parallel
+    to n - k axes.  Its (normal, offset) is the kernel of that linear system
+    when the kernel is a line, scaled to a primitive integer vector.  It is a
+    facet when the normal is nonnegative, the offset positive, no point lies
+    below it and its tight points and axes span n - 1 dimensions.
+    """
+    points = sorted(set(points))
+    n = len(points[0])
+    facets = set()
+    for k in range(1, min(n, len(points)) + 1):
+        for T in itertools.combinations(points, k):
+            for D in itertools.combinations(range(n), n - k):
+                rows = [[Fraction(u) for u in pt] + [Fraction(-1)] for pt in T]
+                rows += [[Fraction(int(j == i)) for j in range(n + 1)] for i in D]
+                rref, pivots = fraction_rref(rows)
+                if len(pivots) != n:
+                    continue
+                free = next(c for c in range(n + 1) if c not in pivots)
+                vec = [Fraction(0)] * (n + 1)
+                vec[free] = Fraction(1)
+                for row, pc in zip(rref, pivots):
+                    vec[pc] = -row[free]
+                scale = math.lcm(*(v.denominator for v in vec))
+                ints = [int(v * scale) for v in vec]
+                g = math.gcd(*ints)
+                ints = [x // g for x in ints]
+                if all(x <= 0 for x in ints[:n]):
+                    ints = [-x for x in ints]
+                a, c = tuple(ints[:n]), ints[n]
+                if c <= 0 or min(a) < 0:
+                    continue
+                values = [sum(x * u for x, u in zip(a, pt)) for pt in points]
+                if min(values) < c:
+                    continue
+                tight = [pt for pt, v in zip(points, values) if v == c]
+                span = [[Fraction(u - b) for u, b in zip(pt, tight[0])] for pt in tight[1:]]
+                span += [[Fraction(int(j == i)) for j in range(n)] for i in range(n) if a[i] == 0]
+                if len(fraction_rref(span)[1]) == n - 1:
+                    facets.add((a, c))
+    return sorted(facets)
 
 
 def dense_rank_modp(rows: List[List[int]], p: int) -> int:
@@ -145,6 +215,34 @@ def union_of_boxes_count(corners: Sequence[Tuple[int, ...]]) -> int:
         for g in itertools.product(*map(range, top))
         if any(all(u < c for u, c in zip(g, corner)) for corner in corners)
     )
+
+
+def lex_cmp(a: Sequence[int], b: Sequence[int]) -> int:
+    """-1, 0 or 1 as a <, = or > b in lex: the first differing exponent decides."""
+    for x, y in zip(a, b):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def degrevlex_cmp(a: Sequence[int], b: Sequence[int]) -> int:
+    """Degree first; on a tie the smaller last differing exponent is the larger monomial."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def block_cmp(block_size: int, inner):
+    """Comparator of the block order: degrevlex on the head, then `inner` on the tail."""
+
+    def cmp(a: Sequence[int], b: Sequence[int]) -> int:
+        head = degrevlex_cmp(a[:block_size], b[:block_size])
+        return head if head else inner(a[block_size:], b[block_size:])
+
+    return cmp
 
 
 def repeated_product(terms: Dict[Tuple[int, ...], int], k: int, p: int):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fsig.groebner import Ideal, ideal_membership
+from fsig.groebner import Ideal, buchberger, ideal_membership
 from fsig.ideals import (
     ExactDivisionError,
     bracket_power,
@@ -15,6 +15,7 @@ from fsig.ideals import (
     ideal_sum,
     intersection,
 )
+from fsig.ideals import _intersection_elimination
 from fsig.poly import PolyRing, Polynomial
 
 
@@ -94,8 +95,6 @@ def test_intersection_elimination_matches_monomial_path():
     B = Ideal(R, [R.parse("x")])
     fast = intersection(A, B)
     # force the elimination route by disguising a generator as non-monomial input
-    from fsig.ideals import _intersection_elimination
-
     slow = _intersection_elimination(A, B)
     assert ideal_equals(fast, slow)
 
@@ -207,3 +206,21 @@ def test_intersection_commutative_idempotent():
         J = Ideal(R, [_random_poly(rng, R)])
         assert ideal_equals(intersection(I, J), intersection(J, I))
         assert ideal_equals(intersection(I, I), I)
+
+
+def test_intersection_elimination_installs_reduced_basis_randomized():
+    # the t-free part of the block-order basis is the reduced basis of I cap J
+    rng = random.Random(909)
+    checked = 0
+    for p in (2, 3, 5):
+        for _ in range(12):
+            R = PolyRing.make(p, ["x", "y", "z"][: rng.randint(2, 3)])
+            I = Ideal(R, [_random_poly(rng, R, max_terms=3) for _ in range(rng.randint(1, 2))])
+            J = Ideal(R, [_random_poly(rng, R, max_terms=3) for _ in range(rng.randint(1, 2))])
+            if I.is_zero() or J.is_zero():
+                continue
+            K = _intersection_elimination(I, J)
+            installed = K._gb_cache[R.order]
+            assert installed == buchberger(K.generators, R.order), (I, J)
+            checked += 1
+    assert checked >= 30

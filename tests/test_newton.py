@@ -14,7 +14,7 @@ from fsig.newton import (
     newton_polyhedron,
 )
 
-from _oracles import brute_lattice_count, shoelace_area, slice_volume_3d
+from _oracles import brute_lattice_count, fraction_newton_facets, shoelace_area, slice_volume_3d
 
 CUSP = [(3, 0), (0, 2)]
 
@@ -229,7 +229,8 @@ def _leibniz_det(rows):
 
 
 def test_integer_kernels_match_fraction_elimination():
-    from fsig.newton import _bareiss, _rref, _solve_int
+    from fsig.newton import _bareiss, _solve_int
+    from _oracles import fraction_rref as _rref
 
     rng = random.Random(31)
     for _ in range(400):
@@ -257,3 +258,32 @@ def test_integer_kernels_match_fraction_elimination():
             for k in range(nrows)
         ]
         assert [Fraction(x, den) for x in nums] == cramer, (rows, rhs)
+
+
+def test_facets_match_fraction_kernel_oracle_randomized():
+    rng = random.Random(515)
+    for _ in range(80):
+        n = rng.randint(2, 5)
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        if not any(map(any, exps)):
+            continue
+        assert list(newton_polyhedron(exps).facets) == fraction_newton_facets(exps), exps
+
+
+def test_volume_is_leibniz_sum_over_fraction_simplices_randomized():
+    # the integer volume path against |det| / n! of each simplex's Fraction points
+    rng = random.Random(616)
+    ts = [Fraction(1, 5), Fraction(1, 2), Fraction(3, 4)]
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if not any(map(any, exps)):
+            continue
+        P = newton_polyhedron(exps)
+        for t in ts:
+            C = clip(P, t)
+            leibniz = sum(
+                (abs(_leibniz_det([[a - b for a, b in zip(pt, s[0])] for pt in s[1:]])) for s in C.simplices),
+                Fraction(0),
+            )
+            assert C.volume() == leibniz / math.factorial(n), (exps, t)

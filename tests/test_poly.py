@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -15,7 +16,7 @@ from fsig.poly import (
     poly_arith,
 )
 
-from _oracles import repeated_product
+from _oracles import block_cmp, degrevlex_cmp, lex_cmp, repeated_product
 
 
 def ring3():
@@ -163,6 +164,28 @@ def test_term_orders_disagree_where_expected():
     block = TermOrder("block", 1, DEGREVLEX)
     # first coordinate dominates under the elimination block
     assert block.greater((1, 0, 0), (0, 9, 9))
+
+
+def test_term_order_key_matches_comparator_randomized():
+    # flat keys against the comparators of tests/_oracles.py, nested blocks included
+    orders = [(DEGREVLEX, degrevlex_cmp), (LEX, lex_cmp)]
+    for size in (1, 2):
+        for inner, inner_cmp in list(orders[:2]):
+            orders.append((TermOrder("block", size, inner), block_cmp(size, inner_cmp)))
+    orders.append(
+        (TermOrder("block", 1, TermOrder("block", 2, DEGREVLEX)), block_cmp(1, block_cmp(2, degrevlex_cmp)))
+    )
+    rng = random.Random(4242)
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        vecs = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(25)]
+        vecs += rng.sample(vecs, 5)  # ties
+        for order, cmp in orders:
+            assert sorted(vecs, key=order.key) == sorted(vecs, key=cmp_to_key(cmp)), order
+            for a in vecs[:10]:
+                for b in vecs:
+                    ka, kb = order.key(a), order.key(b)
+                    assert (ka > kb) - (ka < kb) == cmp(a, b), (order, a, b)
 
 
 def test_frobenius_rejects_nonpositive_e():
