@@ -8,7 +8,9 @@ dict mapping column index to a nonzero coefficient in [1, p); the zero
 vector is the empty dict.  A row holds one entry per generator term landing
 in the box, out of #gens * |box| columns, so a sparse row costs what it
 holds.  When every generator is one monomial, distinct cells never share a
-column, so the non-empty rows are independent.
+column, so the non-empty rows are independent (the rank route counts them
+with groebner.staircase_count instead of building them).  Echelon keeps each
+pivot row as it reduced, not made monic.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ class Echelon:
     def __init__(self, p: int, track: bool = False):
         self.p = p
         self.track = track
-        self.pivots: Dict[int, Dict[int, int]] = {}  # leading index -> monic row
+        self.pivots: Dict[int, Dict[int, int]] = {}  # leading index -> reduced row, as inserted
         self.coords: Dict[int, Dict[object, int]] = {}
+        self._inv: Dict[int, int] = {}  # coefficient -> its inverse mod p
 
     @property
     def rank(self) -> int:
@@ -95,6 +98,11 @@ class Echelon:
 
         The returned dict maps labels to coefficients c with
         sum(c * pivot_label_vector) == vec; empty dict for the zero vector.
+        Pivot rows are kept as they reduced, not made monic: the multiplier
+        against a pivot is vec[lead] / row[lead].  A vector equal to the
+        pivot that has its lead cancels whole, with no reduction loop; it is
+        cleared, as a reduced vector is emptied, so a caller that still holds
+        it (the rank route holds a slab of rows) holds no entries.
         """
         p = self.p
         coords: Dict[object, int] = {label: 1} if self.track else {}
@@ -102,22 +110,25 @@ class Echelon:
             lead = max(vec)
             row = self.pivots.get(lead)
             if row is None:
-                if vec[lead] != 1:
-                    inv = pow(vec[lead], -1, p)
-                    vec = {k: (v * inv) % p for k, v in vec.items()}
-                    if self.track:
-                        coords = {k: (v * inv) % p for k, v in coords.items()}
                 self.pivots[lead] = vec
                 if self.track:
                     self.coords[lead] = coords
                 return None
-            lam = vec[lead]
-            for k, v in row.items():
-                nv = (vec.get(k, 0) - lam * v) % p
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
+            c = row[lead]
+            if vec[lead] == c and vec == row:
+                lam = 1
+                vec.clear()
+            else:
+                inv = self._inv.get(c)
+                if inv is None:
+                    inv = self._inv[c] = pow(c, -1, p)
+                lam = vec[lead] * inv % p
+                for k, v in row.items():
+                    nv = (vec.get(k, 0) - lam * v) % p
+                    if nv:
+                        vec[k] = nv
+                    else:
+                        vec.pop(k, None)
             if self.track:
                 coords = self._combine(coords, self.coords[lead], lam)
         return self._dependency(coords, label)

@@ -323,18 +323,61 @@ def quotient_length(I: Ideal):
     """Number of standard monomials of S/I, or INFINITE.
 
     Standard monomials are those not divisible by any leading monomial of the
-    reduced basis; when finite they live in the box cut out by the minimal
-    pure-power leads.
+    reduced basis; the quotient is finite exactly when the leads hold a pure
+    power of every variable, and then staircase_count counts them.
     """
     lms = I.groebner_basis().leading_monomials()
-    box = pure_power_box(lms, I.ring.nvars)
-    if box is None:
+    if pure_power_box(lms, I.ring.nvars) is None:
         return INFINITE
-    count = 0
-    for exps in itertools.product(*(range(b) for b in box)):
-        if not any(monomial_divides(lm, exps) for lm in lms):
-            count += 1
-    return count
+    return staircase_count(lms)
+
+
+def staircase_count(points: Iterable[Exponents], corners: bool = False) -> int:
+    """Cells of an order ideal of N^n (n >= 1), counted without enumerating them.
+
+    Leads (corners=False): the monomials divisible by no point, i.e. the
+    standard monomials of the monomial ideal they generate, which must be
+    zero-dimensional (a pure power of every variable among the points).
+    Corners (corners=True): the cells g with g < c componentwise for some
+    point c, the union of the boxes prod [0, c_i); a corner with an entry
+    <= 0 is an empty box.
+
+    Recursion on the last coordinate: the slice at v is the same count in
+    one variable fewer, on the leads with last exponent <= v or the corners
+    with last coordinate > v, their last coordinate dropped.  It changes
+    only at the distinct last coordinates, so the count is a sum of
+    (run length) * (count of the slice), memoized on the slice's minimal
+    leads or maximal corners.  Past the largest last coordinate the leads
+    hold the pure power of the last variable and the corners run out, so
+    only the finite runs count.  In one variable the reduced slice is a
+    single point, and its coordinate is the count.
+    """
+    memo: Dict[frozenset, int] = {}
+
+    def reduce(pts) -> frozenset:
+        # drop a lead that another divides, or a corner that another contains
+        kept: List[Exponents] = []
+        for m in sorted(set(pts), key=sum, reverse=corners):
+            if not any(all(map(le, m, k) if corners else map(le, k, m)) for k in kept):
+                kept.append(m)
+        return frozenset(kept)
+
+    def count(pts: frozenset, n: int) -> int:
+        if n == 1:
+            (only,) = pts
+            return only[0]
+        got = memo.get(pts)
+        if got is None:
+            cuts = sorted({0} | {m[-1] for m in pts})
+            got = 0
+            for v, w in zip(cuts, cuts[1:]):
+                cut = [m[:-1] for m in pts if (m[-1] > v if corners else m[-1] <= v)]
+                got += (w - v) * count(reduce(cut), n - 1)
+            memo[pts] = got
+        return got
+
+    top = reduce(m for m in points if not corners or min(m) > 0)
+    return count(top, len(next(iter(top)))) if top else 0
 
 
 def krull_dimension(I: Ideal) -> int:

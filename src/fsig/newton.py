@@ -14,8 +14,9 @@ operation and that cost dominated clipping:
   (`_solve_int`), giving a vertex as gcd-reduced (numerators, den);
   feasibility and tightness are integer tests a.num >= b*den, and the
   tight halfspaces are kept as the vertex's incidence;
-* the triangulation picks each subface by incidence and checks affine rank
-  with `_bareiss` on the vertices scaled to their common denominator;
+* the triangulation picks each face's facets by incidence alone: the
+  vertices tight at one more halfspace, kept when no other such set
+  contains them (a facet is an inclusion-maximal proper face);
 * the triangulation keeps each simplex as integer points beside its
   Fraction points (vertex numerators over den, a centroid of k vertices as
   coordinate sums over k*den), and the volume scales each simplex to its
@@ -266,14 +267,16 @@ def _star_triangulation(
     """Cone from the face centroid over recursively triangulated subfaces.
 
     points[i] is vertices[i] times den, and incidences[i] the halfspace
-    indices tight at it.  A face is a sorted list of vertex indices; its
-    subfaces are its vertices tight at one more halfspace, in halfspace order.
+    indices tight at it.  A face is a sorted tuple of vertex indices.  Its
+    vertices tight at one more halfspace form a proper face or the whole
+    face; its facets are the inclusion-maximal proper ones, taken in the
+    order of the first halfspace that cuts each out.
     Each simplex comes twice: as Fraction points and as integer points, a
     vertex as its numerators over den and a centroid of k vertices as their
     coordinate sums over k * den.
     """
 
-    def recurse(face: List[int], tight: frozenset, d: int):
+    def recurse(face: Tuple[int, ...], tight: frozenset, d: int):
         if d == 1:  # an edge: its two end vertices, first and last in sorted order
             a, b = face[0], face[-1]
             return [((vertices[a], vertices[b]), ((points[a], den), (points[b], den)))]
@@ -281,23 +284,23 @@ def _star_triangulation(
         sums = tuple(map(sum, zip(*(points[v] for v in face))))
         c = tuple(Fraction(s, k * den) for s in sums)
         ci = (sums, k * den)
-        out = []
-        done = set()
+        # proper subfaces, each with the first halfspace that cuts it out
+        subs: Dict[Tuple[int, ...], int] = {}
         for idx in sorted(frozenset().union(*(incidences[v] for v in face)) - tight):
-            sub = [v for v in face if idx in incidences[v]]
-            if len(sub) < d or len(sub) == k:
-                continue
-            key = tuple(sub)
-            if key in done:
-                continue
-            done.add(key)
-            if _affine_rank([points[v] for v in sub]) != d - 1:
+            sub = tuple(v for v in face if idx in incidences[v])
+            if len(sub) < k:
+                subs.setdefault(sub, idx)
+        sets = [frozenset(sub) for sub in subs]
+        out = []
+        for (sub, idx), s in zip(subs.items(), sets):
+            # the facets of a face are its inclusion-maximal proper faces
+            if any(s < other for other in sets):
                 continue
             for simplex, ints in recurse(sub, tight | {idx}, d - 1):
                 out.append(((c,) + simplex, (ci,) + ints))
         return out
 
-    return recurse(list(range(len(vertices))), frozenset(), dim)
+    return recurse(tuple(range(len(vertices))), frozenset(), dim)
 
 
 def clip_and_volume(P: NewtonPolyhedron, t) -> Fraction:

@@ -4,17 +4,19 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  Both read the matrix of
-_linalg.box_rows, through its two row builders: the colon walks cells in
-term order and calls row(g); the rank route takes slabs(), built term by
-term, and counts the rows when every generator of b_e is a monomial (no two
-cells then share a column).  So method="both" checks the two row builders,
-the walks and the read-outs (reduced basis and quotient_length vs pivot
-count or row count), but not the shared echelon.  That is checked in tests
-only: tests/test_linalg.py against a brute-force box and tests/_oracles.py
-(dense elimination, Macaulay membership, brute-force standard-monomial and
-union-of-boxes counts).  Each system memoizes its I_e, which the basis route
-and the prime candidate both read.
+basis route is the semantic reference.  The colon walks cells in term order
+and calls _linalg.box_rows' row(g); the rank route takes its slabs(), built
+term by term, and eliminates them.  When every generator of b_e is a
+monomial, no two cells share a column, so the rank is the number of cells
+with a non-empty row: the union of the boxes below q - m_j, which
+groebner.staircase_count counts without building a row, as it counts the
+standard monomials for quotient_length.  So method="both" checks the row
+builders, the walks and the read-outs (reduced basis and staircase count vs
+pivot count or box-union count), but not the shared echelon.  That is
+checked in tests only: tests/test_linalg.py against a brute-force box and
+tests/_oracles.py (dense elimination, Macaulay membership, brute-force
+standard-monomial and union-of-boxes counts).  Each system memoizes its I_e,
+which the basis route and the prime candidate both read.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .groebner import (
     krull_dimension,
     normal_form,
     quotient_length,
+    staircase_count,
 )
 from .ideals import bracket_power, colon, ideal_sum
 from .poly import PolyRing
@@ -82,11 +85,13 @@ def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
 def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
     """Rank over F_p of g -> (g*f_j mod <x_i^q>) on the box basis of exponents < q."""
     ring = sys.ring
+    q = ring.p**e
     polys = [f.terms for f in sys.b_of(e).generators]
-    _, slabs = _linalg.box_rows([ring.p**e] * ring.nvars, polys)
     if all(len(f) == 1 for f in polys):
-        # monomial generators: no two cells share a column, so every non-empty row counts
-        return sum(map(len, slabs()))
+        # monomial generators: no two cells share a column, so the rank is the
+        # number of cells with a non-empty row, the union of the boxes below q - m
+        return staircase_count((tuple(q - u for u in m) for f in polys for m in f), corners=True)
+    _, slabs = _linalg.box_rows([q] * ring.nvars, polys)
     ech = _linalg.Echelon(ring.p)
     for slab in slabs():
         for vec in slab:

@@ -13,10 +13,16 @@ from fsig.groebner import (
     normal_form,
     quotient_length,
     s_polynomial,
+    staircase_count,
 )
 from fsig.poly import LEX, PolyRing, Polynomial, monomial_divides
 
-from _oracles import box_quotient_corank, count_standard_monomials, macaulay_member
+from _oracles import (
+    box_quotient_corank,
+    count_standard_monomials,
+    macaulay_member,
+    union_of_boxes_count,
+)
 
 
 def ring3(p=3):
@@ -90,6 +96,59 @@ def test_quotient_length_examples():
     assert quotient_length(box) == q * q
     assert quotient_length(Ideal(R, [R.parse("x")])) == math.inf
     assert quotient_length(Ideal(R, [R.one()])) == 0
+
+
+def _random_staircase_leads(rng):
+    """n = 1-4, a pure power of every variable (sides 0-12, smaller for n = 4), extra leads up to two past the box."""
+    n = rng.randint(1, 4)
+    top = 12 if n < 4 else 6
+    box = [rng.choice([0, 1, rng.randint(0, top), rng.randint(0, top)]) for _ in range(n)]
+    leads = [tuple(b if j == i else 0 for j in range(n)) for i, b in enumerate(box)]
+    for _ in range(rng.randint(0, 6)):
+        leads.append(tuple(rng.randint(0, b + 2) for b in box))
+    if rng.random() < 0.3:  # a non-minimal lead and a duplicate
+        leads.append(tuple(u + rng.randint(0, 2) for u in rng.choice(leads)))
+        leads.append(rng.choice(leads))
+    rng.shuffle(leads)
+    return n, box, leads
+
+
+def test_staircase_count_leads_match_brute_force_randomized():
+    rng = random.Random(8080)
+    for _ in range(400):
+        n, box, leads = _random_staircase_leads(rng)
+        expected = count_standard_monomials(leads, max(box) + 1)
+        assert staircase_count(leads) == expected, leads
+        if n <= 3:  # the same count through a reduced basis
+            R = PolyRing.make(5, ["x", "y", "z"][:n])
+            assert quotient_length(Ideal(R, [R.monomial(m) for m in leads])) == expected, leads
+
+
+def test_staircase_count_corners_match_union_of_boxes_randomized():
+    rng = random.Random(8181)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        top = 12 if n < 4 else 6
+        # entries from -1 up: corners with an entry <= 0 are empty boxes
+        corners = [
+            tuple(rng.choice([-1, 0, 1, rng.randint(-1, top), rng.randint(-1, top)]) for _ in range(n))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if corners and rng.random() < 0.3:  # a corner inside another, and a duplicate
+            corners.append(tuple(max(u - rng.randint(0, 2), 1) for u in rng.choice(corners)))
+            corners.append(rng.choice(corners))
+        expected = union_of_boxes_count(corners) if corners else 0
+        assert staircase_count(corners, corners=True) == expected, corners
+
+
+def test_quotient_length_of_a_huge_box_does_not_enumerate():
+    R = PolyRing.make(3, ["x", "y", "z"])
+    a, b, c = 10**6, 10**6 + 3, 999_983
+    I = Ideal(R, [R.parse(f"x^{a}"), R.parse(f"y^{b}"), R.parse(f"z^{c}")])
+    assert quotient_length(I) == a * b * c
+    J = Ideal(R, [R.parse(f"x^{a}"), R.parse(f"y^{b}"), R.parse(f"z^{c}"), R.parse("x*y*z")])
+    # the cells of the box minus those with every exponent positive
+    assert quotient_length(J) == a * b * c - (a - 1) * (b - 1) * (c - 1)
 
 
 def test_krull_dimension_examples():

@@ -36,29 +36,53 @@ def _dense(rows, p):
     return dense
 
 
+def _check_echelon(p, rows):
+    """Plain and tracked rank against dense elimination; every dependency rebuilt."""
+    plain = Echelon(p)
+    tracked = Echelon(p, track=True)
+    vectors = {}
+    for label, items in enumerate(rows):
+        vec = vector_from_items(p, items)
+        assert all(0 < c < p for c in vec.values())
+        plain.insert(vector_from_items(p, items))
+        dep = tracked.insert(vector_from_items(p, items), label=label)
+        if dep is None:
+            vectors[label] = vec
+            continue
+        rebuilt = vector_from_items(
+            p, [(idx, c * v) for k, c in dep.items() for idx, v in vectors[k].items()]
+        )
+        assert set(dep) <= set(vectors)
+        assert rebuilt == vec, (rows, label)
+    expected = dense_rank_modp(_dense(rows, p), p)
+    assert plain.rank == tracked.rank == len(vectors) == expected
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_echelon_rank_and_dependencies_randomized(p):
     rng = random.Random(900 + p)
     for _ in range(40):
-        rows = _random_rows(rng, p, rng.randint(1, 12))
-        plain = Echelon(p)
-        tracked = Echelon(p, track=True)
-        vectors = {}
-        for label, items in enumerate(rows):
-            vec = vector_from_items(p, items)
-            assert all(0 < c < p for c in vec.values())
-            plain.insert(vector_from_items(p, items))
-            dep = tracked.insert(vector_from_items(p, items), label=label)
-            if dep is None:
-                vectors[label] = vec
-                continue
-            rebuilt = vector_from_items(
-                p, [(idx, c * v) for k, c in dep.items() for idx, v in vectors[k].items()]
-            )
-            assert set(dep) <= set(vectors)
-            assert rebuilt == vec
-        expected = dense_rank_modp(_dense(rows, p), p)
-        assert plain.rank == tracked.rank == len(vectors) == expected
+        _check_echelon(p, _random_rows(rng, p, rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_repeats_and_scalar_multiples_randomized(p):
+    # rows that repeat an earlier row exactly, or scale it by a unit (the same
+    # or a different lead coefficient), with fresh rows mixed in
+    rng = random.Random(1700 + p)
+    for _ in range(60):
+        fresh = iter(_random_rows(rng, p, 16))  # one column pool, so leads collide
+        rows = []
+        for _ in range(rng.randint(1, 16)):
+            kind = rng.random()
+            if rows and kind < 0.3:
+                rows.append(list(rng.choice(rows)))
+            elif rows and kind < 0.6:
+                unit = rng.randint(1, p - 1)
+                rows.append([(idx, unit * c) for idx, c in rng.choice(rows)])
+            else:
+                rows.append(next(fresh))
+        _check_echelon(p, rows)
 
 
 def _random_box_problem(rng):

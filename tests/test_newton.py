@@ -287,3 +287,27 @@ def test_volume_is_leibniz_sum_over_fraction_simplices_randomized():
                 Fraction(0),
             )
             assert C.volume() == leibniz / math.factorial(n), (exps, t)
+
+
+def test_clip_simplices_are_full_dimensional_randomized():
+    # every simplex of the star triangulation spans n dimensions: a subface
+    # that is not a facet of its face would add a flat simplex, which
+    # volume() counts as zero and so cannot show
+    from _oracles import fraction_rref
+
+    rng = random.Random(717)
+    ts = [Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if not any(map(any, exps)):
+            continue
+        P = newton_polyhedron(exps)
+        for t in rng.sample(ts, 2):
+            for s in clip(P, t).simplices:
+                assert len(s) == n + 1
+                rows = [[a - b for a, b in zip(pt, s[0])] for pt in s[1:]]
+                assert len(fraction_rref(rows)[1]) == n, (exps, t, s)
+                checked += 1
+    assert checked > 1000

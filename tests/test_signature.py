@@ -392,9 +392,16 @@ class _FixedSystem(FGradedSystem):
         return "fixed"
 
 
+@pytest.mark.parametrize("method", ["groebner", "linear", "both"])
+def test_snc_at_level_twelve_is_counted_not_enumerated(method):
+    # q^2 = 5^24 cells: only a staircase count reaches this level
+    q = 5**12
+    assert splitting_number(_snc(5), 12, method=method) == ((q + 1) // 2) ** 2
+
+
 def test_monomial_rank_route_counts_union_of_boxes_randomized():
-    # all-monomial b_e: the rank route counts non-empty rows; the rank is the
-    # number of cells in the union of the boxes prod [0, q - m_j)
+    # all-monomial b_e: the rank route counts the union of the boxes
+    # prod [0, q - m_j), which must equal the rank of the full box's rows
     rng = random.Random(6161)
     levels = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
     for _ in range(80):
