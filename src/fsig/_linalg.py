@@ -10,7 +10,9 @@ in the box, out of #gens * |box| columns, so a sparse row costs what it
 holds.  When every generator is one monomial, distinct cells never share a
 column, so the non-empty rows are independent (the rank route counts them
 with groebner.staircase_count instead of building them).  Echelon keeps each
-pivot row as it reduced, not made monic.
+pivot row as it reduced, not made monic.  Its columns below 0 are label
+columns, never a lead: the colon tags each candidate row with one, so a row
+that depends on earlier ones reduces to the labels of its dependency.
 """
 
 from __future__ import annotations
@@ -75,79 +77,57 @@ def box_rows(
 
 
 class Echelon:
-    """Row space accumulator; insert vectors one at a time, rank = pivot count.
+    """Row space accumulator over F_p; insert vectors one at a time, rank = pivot count.
 
-    With track=True each insert carries a label, and a vector that reduces to
-    zero returns the coefficients expressing it over previously inserted
-    (pivot) labels -- the certificate the colon extraction needs.
+    Columns below 0 are label columns: row operations carry them, but they are
+    never a lead.  A vector tagged with a label column of its own (coefficient
+    1) that depends on earlier vectors reduces to its certificate: its own
+    label minus sum(c * earlier label), a combination that cancels on every
+    column at 0 and above.
     """
 
-    def __init__(self, p: int, track: bool = False):
+    def __init__(self, p: int):
         self.p = p
-        self.track = track
         self.pivots: Dict[int, Dict[int, int]] = {}  # leading index -> reduced row, as inserted
-        self.coords: Dict[int, Dict[object, int]] = {}
         self._inv: Dict[int, int] = {}  # coefficient -> its inverse mod p
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, vec: Dict[int, int], label=None):
-        """Reduce vec (consumed); return None if it became a pivot, else its coordinates.
+    def insert(self, vec: Dict[int, int]) -> bool:
+        """Reduce vec in place down to its label columns; True iff it became a pivot.
 
-        The returned dict maps labels to coefficients c with
-        sum(c * pivot_label_vector) == vec; empty dict for the zero vector.
-        Pivot rows are kept as they reduced, not made monic: the multiplier
-        against a pivot is vec[lead] / row[lead].  A vector equal to the
-        pivot that has its lead cancels whole, with no reduction loop; it is
-        cleared, as a reduced vector is emptied, so a caller that still holds
-        it (the rank route holds a slab of rows) holds no entries.
+        vec is kept as a pivot when anything at column 0 or above survives;
+        otherwise only its label columns are left in it.  Pivot rows are kept
+        as they reduced, not made monic: the multiplier against a pivot is
+        vec[lead] / row[lead].  A vector equal to the pivot that has its lead
+        cancels whole, with no reduction loop; it is cleared, as a reduced
+        vector is emptied, so a caller that still holds it (the rank route
+        holds a slab of rows) holds no entries.  This never fires on a vector
+        tagged with its own label, which no pivot holds.
         """
         p = self.p
-        coords: Dict[object, int] = {label: 1} if self.track else {}
         while vec:
             lead = max(vec)
+            if lead < 0:
+                return False
             row = self.pivots.get(lead)
             if row is None:
                 self.pivots[lead] = vec
-                if self.track:
-                    self.coords[lead] = coords
-                return None
+                return True
             c = row[lead]
             if vec[lead] == c and vec == row:
-                lam = 1
                 vec.clear()
-            else:
-                inv = self._inv.get(c)
-                if inv is None:
-                    inv = self._inv[c] = pow(c, -1, p)
-                lam = vec[lead] * inv % p
-                for k, v in row.items():
-                    nv = (vec.get(k, 0) - lam * v) % p
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        vec.pop(k, None)
-            if self.track:
-                coords = self._combine(coords, self.coords[lead], lam)
-        return self._dependency(coords, label)
-
-    def _combine(self, coords: Dict, row_coords: Dict, lam: int) -> Dict:
-        # coords := coords - lam * row_coords
-        p = self.p
-        out = dict(coords)
-        for k, v in row_coords.items():
-            nv = (out.get(k, 0) - lam * v) % p
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return out
-
-    def _dependency(self, coords: Dict, label) -> Dict:
-        if not self.track:
-            return {}
-        # report the combination over *previous* labels equal to the inserted vector
-        out = {k: (-v) % self.p for k, v in coords.items() if k != label}
-        return out
+                return False
+            inv = self._inv.get(c)
+            if inv is None:
+                inv = self._inv[c] = pow(c, -1, p)
+            lam = vec[lead] * inv % p
+            for k, v in row.items():
+                nv = (vec.get(k, 0) - lam * v) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return False

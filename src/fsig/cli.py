@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groebner import ResourceLimitError
 from .newton import DIMENSION_CAP, clip_and_volume, newton_polyhedron
-from .poly import DEGREVLEX, LEX, PolyParseError, PolyRing, Polynomial, is_prime
+from .poly import DEGREVLEX, LEX, PolyParseError, PolyRing, Polynomial, is_identifier, is_prime
 from .signature import (
     InfeasibleError,
     SplittingReport,
@@ -203,7 +203,7 @@ def parse_problem_file(text: str) -> Problem:
 
     lineno, col, val = entries["vars"]
     variables = tuple(v.strip() for v in val.split(","))
-    if not all(variables) or len(set(variables)) != len(variables):
+    if not all(map(is_identifier, variables)) or len(set(variables)) != len(variables):
         raise ProblemError("vars must be distinct non-empty identifiers", lineno, col)
 
     order_name = "degrevlex"

@@ -8,7 +8,7 @@ Colon ideals drive everything downstream, so they get several routes:
   standard monomials on _linalg.box_rows, yielding the reduced Groebner basis
   directly; covers m^[q] and the unit ideal
 * anything else              -> auxiliary-variable elimination (the reference
-  path, also available on demand via strategy="elimination")
+  path; tests call _colon_elimination directly to cross-check the others)
 """
 
 from __future__ import annotations
@@ -183,36 +183,31 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 # -- colon --------------------------------------------------------------
 
-def colon(I: Ideal, J: Ideal, strategy: str = "auto") -> Ideal:
-    """(I : J) = all g with g*J inside I.
+def colon(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J) = all g with g*J inside I, by the cheapest sound route.
 
-    strategy "auto" picks the cheapest sound route; "elimination" forces the
-    reference construction (I : f) = (1/f)(I cap <f>) intersected over the
-    generators of J.
+    The fallback is the reference construction _colon_elimination.
     """
     _check_same_ring(I, J)
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
-    if strategy not in ("auto", "elimination"):
-        raise ValueError(f"unknown colon strategy {strategy!r}")
     ring = I.ring
     if _contains_unit(J):
         return I
     if I.is_zero():
         return Ideal(ring, [])
-    if strategy == "auto":
-        if I.is_monomial() and J.is_monomial():
-            return _colon_monomial(I, J)
-        if len(I.generators) == 1 and len(J.generators) == 1:
-            try:
-                return Ideal(ring, [exact_divide(I.generators[0], J.generators[0])])
-            except ExactDivisionError:
-                pass
-        if I.is_monomial():
-            mins = minimal_monomials(I.generators)
-            box = pure_power_box(mins, ring.nvars)
-            if box is not None and all(sum(m) == max(m) for m in mins):
-                return _colon_zero_dim(I, J, box)
+    if I.is_monomial() and J.is_monomial():
+        return _colon_monomial(I, J)
+    if len(I.generators) == 1 and len(J.generators) == 1:
+        try:
+            return Ideal(ring, [exact_divide(I.generators[0], J.generators[0])])
+        except ExactDivisionError:
+            pass
+    if I.is_monomial():
+        mins = minimal_monomials(I.generators)
+        box = pure_power_box(mins, ring.nvars)
+        if box is not None and all(sum(m) == max(m) for m in mins):
+            return _colon_zero_dim(I, J, box)
     return _colon_elimination(I, J)
 
 
@@ -228,6 +223,7 @@ def _colon_monomial(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J) as the intersection over f in J of (1/f)(I cap <f>)."""
     ring = I.ring
     result: Optional[Ideal] = None
     for f in J.generators:
@@ -241,26 +237,28 @@ def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
 def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     """(I : J) for the box ideal I = <x_i^{box_i}> by linear elimination.
 
-    Walks candidate monomials in increasing term order; a candidate m whose
-    row (m*f_j mod I stacked over j, from _linalg.box_rows) depends linearly
-    on those of the smaller standard monomials contributes the reduced-basis
-    element m - sum(c_b * b).  Terminates because I is zero-dimensional, and
-    the emitted elements form the reduced basis of the colon because their
-    tails only involve its standard monomials.
+    Walks candidate monomials in increasing term order.  The row of the k-th
+    candidate m (m*f_j mod I stacked over j, from _linalg.box_rows) carries
+    label column ~k.  When it depends linearly on the rows of the smaller standard
+    monomials, the echelon leaves exactly its labels: the reduced-basis
+    element m - sum(c_b * b), monic and led by m.  Terminates because I is
+    zero-dimensional, and the emitted elements form the reduced basis of the
+    colon because their tails only involve its standard monomials (the only
+    labels pivots hold).
     """
     ring = I.ring
     order = ring.order
-    p = ring.p
     n = ring.nvars
     row, _ = _linalg.box_rows(box, [f.terms for f in J.generators])
 
-    ech = _linalg.Echelon(p, track=True)
+    ech = _linalg.Echelon(ring.p)
     heap: List[Tuple[object, Exponents]] = []
     seen = set()
     one = (0,) * n
     heapq.heappush(heap, (order.key(one), one))
     seen.add(one)
     standard = set()  # candidates confirmed standard so far
+    labels: List[Exponents] = []  # candidate k has label column ~k
     gb_elems: List[Polynomial] = []
 
     while heap:
@@ -269,8 +267,10 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
         # so far exactly when one of its divisors m - e_i is not standard
         if any(m[i] and m[:i] + (m[i] - 1,) + m[i + 1 :] not in standard for i in range(n)):
             continue
-        dep = ech.insert(row(m), label=m)
-        if dep is None:
+        vec = row(m)
+        vec[~len(labels)] = 1
+        labels.append(m)
+        if ech.insert(vec):
             standard.add(m)
             for i in range(n):
                 cand = tuple(m[k] + (1 if k == i else 0) for k in range(n))
@@ -278,10 +278,7 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
                     seen.add(cand)
                     heapq.heappush(heap, (order.key(cand), cand))
         else:
-            terms = {m: 1}
-            for b, c in dep.items():
-                terms[b] = (-c) % p
-            gb_elems.append(Polynomial(ring, terms, reduce=False))
+            gb_elems.append(Polynomial(ring, {labels[~k]: c for k, c in vec.items()}, reduce=False))
 
     gb_elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     gb = GroebnerBasis(ring, order, gb_elems)

@@ -391,6 +391,11 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 
 
+def is_identifier(name: str) -> bool:
+    """True iff name is a whole variable name of the polynomial grammar."""
+    return name[:1] in _IDENT_START and all(ch in _IDENT_CONT for ch in name[1:])
+
+
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse a signed sum of terms; term = coefficient? ("*"? var ("^" int)?)+.
 

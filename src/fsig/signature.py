@@ -4,15 +4,18 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  The colon walks cells in term order
-and calls _linalg.box_rows' row(g); the rank route takes its slabs(), built
-term by term, and eliminates them.  When every generator of b_e is a
+basis route is the semantic reference.  Both eliminate with one
+_linalg.Echelon.  The colon walks cells in term order, tags each row(g) of
+_linalg.box_rows with a label column and reads each reduced-basis element
+off the labels of a dependent row; the rank route takes the slabs(), built
+term by term, and counts pivots.  When every generator of b_e is a
 monomial, no two cells share a column, so the rank is the number of cells
 with a non-empty row: the union of the boxes below q - m_j, which
 groebner.staircase_count counts without building a row, as it counts the
 standard monomials for quotient_length.  So method="both" checks the row
-builders, the walks and the read-outs (reduced basis and staircase count vs
-pivot count or box-union count), but not the shared echelon.  That is
+builders, the walks and the read-outs (reduced basis from label columns and
+staircase count vs pivot count or box-union count), but not the shared
+echelon.  That is
 checked in tests only: tests/test_linalg.py against a brute-force box and
 tests/_oracles.py (dense elimination, Macaulay membership, brute-force
 standard-monomial and union-of-boxes counts).  Each system memoizes its I_e,

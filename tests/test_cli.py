@@ -233,6 +233,21 @@ def test_main_rejects_monomial_mode_above_dimension_cap(tmp_path, capsys):
     assert parse_problem_file(six).variables == ("a", "b", "c", "d", "e", "f")
 
 
+@pytest.mark.parametrize("names", ["x, 2", "x, y z", "x, 1y", "x, y-1", "x, "])
+def test_main_rejects_vars_that_are_not_identifiers(tmp_path, capsys, names):
+    path = tmp_path / "vars.fsig"
+    path.write_text(f"p = 3\nvars = {names}\nsystem = pair {{ a = [x], t = 1/2 }}\nmode = signature\n")
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fsig: line 2, col 6: vars must be distinct non-empty identifiers\n"
+    assert "Traceback" not in captured.err
+    six = "p = 3\nvars = a, b, c, d, e, f\nsystem = pair { a = [ a*f ], t = 1/2 }\nmode = signature\n"
+    assert parse_problem_file(six).variables == ("a", "b", "c", "d", "e", "f")
+    sub = "p = 3\nvars = x_1, _y, Z9\nsystem = pair { a = [ x_1*_y*Z9 ], t = 1/2 }\nmode = signature\n"
+    assert parse_problem_file(sub).variables == ("x_1", "_y", "Z9")
+
+
 def test_main_method_flag(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)

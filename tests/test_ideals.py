@@ -15,7 +15,7 @@ from fsig.ideals import (
     ideal_sum,
     intersection,
 )
-from fsig.ideals import _intersection_elimination
+from fsig.ideals import _colon_elimination, _intersection_elimination
 from fsig.poly import PolyRing, Polynomial
 
 
@@ -119,7 +119,7 @@ def test_colon_principal_power_cross_checked():
     h = R.parse("x^2 - y^2*z")
     fast = colon(Ideal(R, [h**3]), Ideal(R, [h]))
     assert ideal_equals(fast, Ideal(R, [h**2]))
-    slow = colon(Ideal(R, [h**3]), Ideal(R, [h]), strategy="elimination")
+    slow = _colon_elimination(Ideal(R, [h**3]), Ideal(R, [h]))
     assert ideal_equals(fast, slow)
 
 
@@ -129,7 +129,7 @@ def test_colon_whitney_level_one_all_routes():
     cube = Ideal(R, [R.parse("x^3"), R.parse("y^3"), R.parse("z^3")])
     expected = Ideal(R, [R.parse("x"), R.parse("y"), R.parse("z^2")])
     fast = colon(cube, Ideal(R, [h * h]))
-    slow = colon(cube, Ideal(R, [h * h]), strategy="elimination")
+    slow = _colon_elimination(cube, Ideal(R, [h * h]))
     assert ideal_equals(fast, expected)
     assert ideal_equals(slow, expected)
 
@@ -171,7 +171,7 @@ def _random_poly(rng, ring, max_terms=2, max_deg=2):
     return Polynomial(ring, terms)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_colon_product_containment_randomized(p):
     rng = random.Random(600 + p)
     for _ in range(12):
@@ -195,7 +195,23 @@ def test_colon_product_containment_randomized(p):
             if len(f.terms) > 1:
                 J_gens.append(f)
         J = Ideal(R, J_gens)
-        assert ideal_equals(colon(I, J), colon(I, J, strategy="elimination"))
+        assert ideal_equals(colon(I, J), _colon_elimination(I, J))
+    # three variables and up to three generators of J, so that a dependent row
+    # reduces through several pivots and its remainder spans several labels;
+    # J has no constant term, since such a generator is a unit modulo I
+    R = PolyRing.make(p, ["x", "y", "z"])
+    squarefree = [m for m in itertools.product((0, 1), repeat=3) if any(m)]
+    widest = 0
+    for _ in range(8):
+        I = Ideal(R, [R.monomial(tuple(rng.randint(2, 5) * (i == k) for i in range(3))) for k in range(3)])
+        J = Ideal(R, [
+            Polynomial(R, {m: rng.randint(1, p - 1) for m in rng.sample(squarefree, rng.randint(2, 4))})
+            for _ in range(rng.randint(1, 3))
+        ])
+        Q = colon(I, J)
+        assert ideal_equals(Q, _colon_elimination(I, J)), (I, J)
+        widest = max(widest, *(len(g.terms) for g in Q.generators))
+    assert widest >= 3
 
 
 def test_intersection_commutative_idempotent():

@@ -37,25 +37,32 @@ def _dense(rows, p):
 
 
 def _check_echelon(p, rows):
-    """Plain and tracked rank against dense elimination; every dependency rebuilt."""
+    """Plain and labelled rank against dense elimination; every dependency rebuilt.
+
+    The labelled echelon tags row k with label column ~k, so a dependent row
+    reduces to its own label minus the earlier rows' labels it depends on.
+    """
     plain = Echelon(p)
-    tracked = Echelon(p, track=True)
+    labelled = Echelon(p)
     vectors = {}
     for label, items in enumerate(rows):
         vec = vector_from_items(p, items)
         assert all(0 < c < p for c in vec.values())
         plain.insert(vector_from_items(p, items))
-        dep = tracked.insert(vector_from_items(p, items), label=label)
-        if dep is None:
+        tagged = vector_from_items(p, items + [(~label, 1)])
+        if labelled.insert(tagged):
             vectors[label] = vec
             continue
+        assert all(idx < 0 for idx in tagged), (rows, label)
+        assert tagged[~label] == 1, (rows, label)
+        dep = {~idx: (-c) % p for idx, c in tagged.items() if idx != ~label}
         rebuilt = vector_from_items(
             p, [(idx, c * v) for k, c in dep.items() for idx, v in vectors[k].items()]
         )
         assert set(dep) <= set(vectors)
         assert rebuilt == vec, (rows, label)
     expected = dense_rank_modp(_dense(rows, p), p)
-    assert plain.rank == tracked.rank == len(vectors) == expected
+    assert plain.rank == labelled.rank == len(vectors) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
