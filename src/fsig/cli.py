@@ -514,6 +514,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"fsig: {err}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError:
+        print(f"fsig: {args.file}: not UTF-8 text", file=sys.stderr)
+        return 1
 
     try:
         problem = parse_problem_file(text)

@@ -12,7 +12,6 @@ from .poly import (
     Exponents,
     PolyRing,
     Polynomial,
-    TermOrder,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -38,20 +37,24 @@ class InternalInvariantError(RuntimeError):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, mutually reduced, sorted by leading monomial.
+    """Reduced Groebner basis under ring.order: monic, mutually reduced.
 
-    Division never inverts a leading coefficient, so a non-monic element is a ValueError.
+    The elements are stored sorted by increasing leading monomial, whatever
+    order they are given in; each lead is computed once, here.  Division
+    never inverts a leading coefficient, so a non-monic element is a
+    ValueError.
     """
 
-    __slots__ = ("ring", "order", "elements", "_lead")
+    __slots__ = ("ring", "elements", "_lead")
 
-    def __init__(self, ring: PolyRing, order: TermOrder, elements: Sequence[Polynomial]):
-        self.ring = ring
-        self.order = order
-        self.elements = tuple(elements)
-        self._lead = [(g.leading_term(order)[0], g) for g in self.elements]  # reducers
-        if any(g.terms[lm] != 1 for lm, g in self._lead):
+    def __init__(self, ring: PolyRing, elements: Iterable[Polynomial]):
+        key = ring.order.key
+        lead = sorted(((g.leading_term()[0], g) for g in elements), key=lambda pair: key(pair[0]))
+        if any(g.terms[lm] != 1 for lm, g in lead):
             raise ValueError("every Groebner basis element must be monic")
+        self.ring = ring
+        self.elements = tuple(g for _, g in lead)
+        self._lead = lead  # reducers
 
     def leading_monomials(self) -> Tuple[Exponents, ...]:
         return tuple(lm for lm, _ in self._lead)
@@ -66,7 +69,6 @@ class GroebnerBasis:
         return (
             isinstance(other, GroebnerBasis)
             and self.ring == other.ring
-            and self.order == other.order
             and self.elements == other.elements
         )
 
@@ -78,10 +80,10 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by G; no term divisible by a leading monomial."""
     if f.ring != G.ring:
         raise ValueError("normal_form: ring mismatch")
-    return _reduce(f, G._lead, G.order)
+    return _reduce(f, G._lead)
 
 
-def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: TermOrder) -> Polynomial:
+def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]]) -> Polynomial:
     """Full remainder of f by the monic reducers `lead`, as (leading monomial, g) pairs.
 
     The remainder's terms are stored in decreasing order, so its first term is its lead.
@@ -90,7 +92,7 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: 
     p = ring.p
     work = dict(f.terms)
     out: Dict[Exponents, int] = {}
-    key = order.key
+    key = ring.order.key
     keys = {m: key(m) for m in work}  # each term's order key, built once on entry
     while work:
         m = max(work, key=keys.__getitem__)
@@ -114,9 +116,9 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]], order: 
     return Polynomial(ring, out, reduce=False)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
     inv_f = f.ring.field.inv(cf)
     inv_g = g.ring.field.inv(cg)
@@ -152,11 +154,10 @@ def pure_power_box(monos: Sequence[Exponents], n: int) -> Optional[List[int]]:
 
 def buchberger(
     gens: Sequence[Polynomial],
-    order: Optional[TermOrder] = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_basis: int = DEFAULT_MAX_BASIS,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis by Buchberger's algorithm.
+    """Reduced Groebner basis by Buchberger's algorithm, under the ring's order.
 
     Normal selection strategy (smallest pair lcm in the order, then smallest
     indices; each lcm and its key are computed once, on a heap), the coprime
@@ -168,28 +169,25 @@ def buchberger(
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise ValueError("buchberger needs at least one non-zero generator; use GroebnerBasis(ring, order, []) for the zero ideal")
+        raise ValueError("buchberger needs at least one non-zero generator; use GroebnerBasis(ring, []) for the zero ideal")
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    order = order or ring.order
+    key = ring.order.key
 
     if all(g.is_monomial() for g in gens):
         # monomial ideals are their own reduced basis after minimalization
-        monos = minimal_monomials(gens)
-        elems = [ring.monomial(m) for m in monos]
-        elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-        return GroebnerBasis(ring, order, elems)
+        return GroebnerBasis(ring, [ring.monomial(m) for m in minimal_monomials(gens)])
 
     lead: List[Tuple[Exponents, Polynomial]] = []
     seen = set()
     for g in sorted(gens, key=lambda h: sorted(h.terms.items())):
-        g = g.monic(order)
+        g = g.monic()
         marker = frozenset(g.terms.items())
         if marker not in seen:
             seen.add(marker)
-            lead.append((g.leading_term(order)[0], g))
+            lead.append((g.leading_term()[0], g))
 
     pending = set()  # queued pairs, for the chain criterion
     queue: List[Tuple[object, int, int, Exponents]] = []  # (order key of lcm, i, j, lcm)
@@ -199,7 +197,7 @@ def buchberger(
         for i in range(j):
             lcm = tuple(map(max, lead[i][0], lm_j))
             pending.add((i, j))
-            heapq.heappush(queue, (order.key(lcm), i, j, lcm))
+            heapq.heappush(queue, (key(lcm), i, j, lcm))
 
     for j in range(len(lead)):
         enqueue(j)
@@ -229,7 +227,7 @@ def buchberger(
         spair = f_i.monomial_shift(tuple(map(sub, lcm, lm_i))) - f_j.monomial_shift(
             tuple(map(sub, lcm, lm_j))
         )
-        h = _reduce(spair, lead, order)
+        h = _reduce(spair, lead)
         if h.is_zero():
             continue
         if len(lead) + 1 > max_basis:
@@ -240,10 +238,10 @@ def buchberger(
         lead.append((lm, h.scale(ring.field.inv(h.terms[lm]))))
         enqueue(len(lead) - 1)
 
-    return _reduce_basis(ring, order, lead)
+    return _reduce_basis(ring, lead)
 
 
-def _reduce_basis(ring: PolyRing, order: TermOrder, lead: List[Tuple[Exponents, Polynomial]]) -> GroebnerBasis:
+def _reduce_basis(ring: PolyRing, lead: List[Tuple[Exponents, Polynomial]]) -> GroebnerBasis:
     """Reduced basis from monic (leading monomial, g) pairs spanning a Groebner basis.
 
     Keeps a minimal basis (the first of equal leads), then reduces each element
@@ -259,15 +257,14 @@ def _reduce_basis(ring: PolyRing, order: TermOrder, lead: List[Tuple[Exponents, 
         )
     ]
     for idx, (lm, g) in enumerate(minimal):
-        minimal[idx] = (lm, _reduce(g, minimal[:idx] + minimal[idx + 1 :], order))
-    minimal.sort(key=lambda pair: order.key(pair[0]))
-    return GroebnerBasis(ring, order, [g for _, g in minimal])
+        minimal[idx] = (lm, _reduce(g, minimal[:idx] + minimal[idx + 1 :]))
+    return GroebnerBasis(ring, [g for _, g in minimal])
 
 
 class Ideal:
-    """Finite generator list with a lazily cached reduced Groebner basis per order."""
+    """Finite generator list with a lazily cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb_cache")
+    __slots__ = ("ring", "generators", "_gb")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -276,7 +273,7 @@ class Ideal:
                 raise ValueError("generator outside the ideal's ring")
         self.ring = ring
         self.generators = gens
-        self._gb_cache: Dict[TermOrder, GroebnerBasis] = {}
+        self._gb: Optional[GroebnerBasis] = None
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -284,20 +281,17 @@ class Ideal:
     def is_monomial(self) -> bool:
         return all(g.is_monomial() for g in self.generators)
 
-    def groebner_basis(self, order: Optional[TermOrder] = None) -> GroebnerBasis:
-        order = order or self.ring.order
-        gb = self._gb_cache.get(order)
-        if gb is None:
-            if self.is_zero():
-                gb = GroebnerBasis(self.ring, order, [])
-            else:
-                gb = buchberger(self.generators, order)
-            self._gb_cache[order] = gb
-        return gb
+    def groebner_basis(self) -> GroebnerBasis:
+        if self._gb is None:
+            self._gb = GroebnerBasis(self.ring, []) if self.is_zero() else buchberger(self.generators)
+        return self._gb
 
     def set_groebner_basis(self, gb: GroebnerBasis):
-        """Install a basis computed elsewhere (write-once per order)."""
-        self._gb_cache.setdefault(gb.order, gb)
+        """Install a basis computed elsewhere (write-once)."""
+        if gb.ring != self.ring:
+            raise ValueError("basis outside the ideal's ring")
+        if self._gb is None:
+            self._gb = gb
 
     def contains(self, f: Polynomial) -> bool:
         return ideal_membership(f, self)

@@ -79,7 +79,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_equals(I: Ideal, J: Ideal) -> bool:
-    """True iff the reduced bases (same order) coincide."""
+    """True iff the reduced bases (under the ring's order) coincide."""
     _check_same_ring(I, J)
     return I.groebner_basis().elements == J.groebner_basis().elements
 
@@ -127,7 +127,7 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
     carries that basis, so later basis queries run no second Buchberger.
     """
     ring = I.ring
-    ext, _ = ring.extended()
+    ext = ring.extended()
     t = ext.variable(ext.variables[0])
     one = ext.one()
 
@@ -136,13 +136,13 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
 
     gens = [t * lift(g) for g in I.generators]
     gens += [(one - t) * lift(g) for g in J.generators]
-    gb = buchberger(gens, ext.order)
+    gb = buchberger(gens)
     out = []
     for g in gb:
         if all(m[0] == 0 for m in g.terms):
             out.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, reduce=False))
     result = Ideal(ring, out)
-    result.set_groebner_basis(GroebnerBasis(ring, ring.order, out))
+    result.set_groebner_basis(GroebnerBasis(ring, out))
     return result
 
 
@@ -153,13 +153,12 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    order = ring.order
-    lm_g, lc_g = g.leading_term(order)
+    lm_g, lc_g = g.leading_term()
     inv = ring.field.inv(lc_g)
     work = dict(f.terms)
     quo: Dict[Exponents, int] = {}
     p = ring.p
-    key = order.key
+    key = ring.order.key
     keys = {m: key(m) for m in work}  # each term's order key, built once
     while work:
         m = max(work, key=keys.__getitem__)
@@ -280,9 +279,8 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
         else:
             gb_elems.append(Polynomial(ring, {labels[~k]: c for k, c in vec.items()}, reduce=False))
 
-    gb_elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    gb = GroebnerBasis(ring, order, gb_elems)
-    result = Ideal(ring, gb_elems)
+    gb = GroebnerBasis(ring, gb_elems)
+    result = Ideal(ring, gb.elements)
     result.set_groebner_basis(gb)
     return result
 

@@ -132,16 +132,13 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def monomial_gcd(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(min, a, b))
-
-
 @dataclass(frozen=True)
 class PolyRing:
-    """Ring handle: modulus, ordered variable names, default term order.
+    """Ring handle: modulus, ordered variable names, the term order.
 
-    Variable order is declaration order; all iteration that reaches output is
-    sorted, so runs are reproducible.
+    The ring owns its term order: leading terms, printing and every Groebner
+    computation in the ring use it.  Variable order is declaration order; all
+    iteration that reaches output is sorted, so runs are reproducible.
     """
 
     field: PrimeField
@@ -189,7 +186,7 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
 
-    def extended(self) -> Tuple["PolyRing", str]:
+    def extended(self) -> "PolyRing":
         """Ring with one fresh variable in front under an elimination order."""
         name = "t"
         k = 0
@@ -197,7 +194,7 @@ class PolyRing:
             name = f"t{k}"
             k += 1
         order = TermOrder("block", 1, self.order)
-        return PolyRing(self.field, (name,) + self.variables, order), name
+        return PolyRing(self.field, (name,) + self.variables, order)
 
 
 class Polynomial:
@@ -233,16 +230,15 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def leading_term(self, order: Optional[TermOrder] = None) -> Tuple[Exponents, int]:
+    def leading_term(self) -> Tuple[Exponents, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        order = order or self.ring.order
-        m = max(self.terms, key=order.key)
+        m = max(self.terms, key=self.ring.order.key)
         return m, self.terms[m]
 
-    def sorted_terms(self, order: Optional[TermOrder] = None):
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self):
+        key = self.ring.order.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -305,10 +301,10 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: (v * c) % p for m, v in self.terms.items()}, reduce=False)
 
-    def monic(self, order: Optional[TermOrder] = None) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        _, lc = self.leading_term(order)
+        _, lc = self.leading_term()
         return self.scale(self.ring.field.inv(lc))
 
     def monomial_shift(self, exps: Exponents, coeff: int = 1) -> "Polynomial":

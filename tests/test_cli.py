@@ -233,6 +233,16 @@ def test_main_rejects_monomial_mode_above_dimension_cap(tmp_path, capsys):
     assert parse_problem_file(six).variables == ("a", "b", "c", "d", "e", "f")
 
 
+def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.fsig"
+    path.write_bytes(SNC.encode() + b"# caf\xe9 \xff\n")
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fsig: {path}: not UTF-8 text\n"
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("names", ["x, 2", "x, y z", "x, 1y", "x, y-1", "x, "])
 def test_main_rejects_vars_that_are_not_identifiers(tmp_path, capsys, names):
     path = tmp_path / "vars.fsig"

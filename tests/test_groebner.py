@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -15,14 +16,21 @@ from fsig.groebner import (
     s_polynomial,
     staircase_count,
 )
-from fsig.poly import LEX, PolyRing, Polynomial, monomial_divides
+from fsig.poly import DEGREVLEX, LEX, PolyRing, Polynomial, monomial_divides
 
 from _oracles import (
     box_quotient_corank,
     count_standard_monomials,
+    degrevlex_cmp,
+    lex_cmp,
     macaulay_member,
     union_of_boxes_count,
 )
+
+ORDER_CMPS = [
+    pytest.param(DEGREVLEX, degrevlex_cmp, id="degrevlex"),
+    pytest.param(LEX, lex_cmp, id="lex"),
+]
 
 
 def ring3(p=3):
@@ -32,7 +40,7 @@ def ring3(p=3):
 def test_buchberger_linear_chain_lex():
     R = PolyRing.make(3, ["x", "y", "z"], LEX)
     gens = [R.parse("x - y"), R.parse("y - z")]
-    gb = buchberger(gens, LEX)
+    gb = buchberger(gens)
     expected = [R.parse("y - z"), R.parse("x - z")]
     assert sorted(map(str, gb)) == sorted(map(str, expected))
     # both directions of membership between the two generating sets
@@ -183,8 +191,8 @@ def test_resource_cap_trips_at_pinned_pair(caps, pairs_done, basis_size):
 def test_groebner_basis_rejects_non_monic_element():
     R = ring3()
     with pytest.raises(ValueError):
-        GroebnerBasis(R, R.order, [R.parse("2*x + y")])
-    assert len(GroebnerBasis(R, R.order, [R.parse("x + 2*y")])) == 1
+        GroebnerBasis(R, [R.parse("2*x + y")])
+    assert len(GroebnerBasis(R, [R.parse("x + 2*y")])) == 1
 
 
 def _random_poly(rng, ring, max_terms, max_deg):
@@ -213,7 +221,7 @@ def test_all_s_polynomials_reduce_to_zero(p):
             assert not any(monomial_divides(o, m) for o in others for m in g.terms)
         for i in range(len(gb.elements)):
             for j in range(i + 1, len(gb.elements)):
-                s = s_polynomial(gb.elements[i], gb.elements[j], gb.order)
+                s = s_polynomial(gb.elements[i], gb.elements[j])
                 assert normal_form(s, gb).is_zero()
 
 
@@ -263,10 +271,41 @@ def test_dimension_monotone_under_more_generators():
             assert b <= a
 
 
-def test_groebner_cache_is_per_order():
-    R = ring3()
-    I = Ideal(R, [R.parse("x - y"), R.parse("y - z")])
-    gb_default = I.groebner_basis()
-    gb_lex = I.groebner_basis(LEX)
-    assert gb_default.order != gb_lex.order
-    assert I.groebner_basis() is gb_default
+def _ascending(leads, cmp):
+    return all(cmp(a, b) < 0 for a, b in zip(leads, leads[1:]))
+
+
+@pytest.mark.parametrize("order, cmp", ORDER_CMPS)
+def test_groebner_basis_is_cached_and_sorted_by_lead(order, cmp):
+    R = PolyRing.make(3, ["x", "y", "z"], order)
+    I = Ideal(R, [R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")])
+    gb = I.groebner_basis()
+    assert I.groebner_basis() is gb
+    assert len(gb) >= 4
+    leads = gb.leading_monomials()
+    assert leads == tuple(max(g.terms, key=cmp_to_key(cmp)) for g in gb)
+    assert _ascending(leads, cmp)
+    # the slot is write-once and holds only a basis of the ideal's ring
+    I.set_groebner_basis(GroebnerBasis(R, [R.one()]))
+    assert I.groebner_basis() is gb
+    other = PolyRing.make(3, ["x", "y", "z"], LEX if order == DEGREVLEX else DEGREVLEX)
+    with pytest.raises(ValueError):
+        Ideal(R, [R.parse("x")]).set_groebner_basis(GroebnerBasis(other, [other.parse("x")]))
+
+
+@pytest.mark.parametrize("order, cmp", ORDER_CMPS)
+def test_groebner_basis_sorts_shuffled_elements_randomized(order, cmp):
+    rng = random.Random(4040 if order == DEGREVLEX else 4141)
+    multi = 0
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        R = PolyRing.make(p, ["x", "y", "z"][: rng.randint(2, 3)], order)
+        gb = buchberger([_random_poly(rng, R, 3, 3) for _ in range(rng.randint(2, 3))])
+        assert _ascending(gb.leading_monomials(), cmp)
+        shuffled = list(gb.elements)
+        rng.shuffle(shuffled)
+        again = GroebnerBasis(R, shuffled)
+        assert again == gb
+        assert again.elements == gb.elements
+        multi += len(gb) >= 3
+    assert multi >= 10

@@ -236,7 +236,7 @@ def test_intersection_elimination_installs_reduced_basis_randomized():
             if I.is_zero() or J.is_zero():
                 continue
             K = _intersection_elimination(I, J)
-            installed = K._gb_cache[R.order]
-            assert installed == buchberger(K.generators, R.order), (I, J)
+            installed = K._gb
+            assert installed == buchberger(K.generators), (I, J)
             checked += 1
     assert checked >= 30

@@ -1,7 +1,9 @@
 """Randomized property suites; each runs at least 100 cases at <= 3 variables,
-except the monomial-volume suites at the end, which run 15-30 ideals in 2-4
-variables (Blickle-Schwede-Tucker: positivity exactly below the F-pure
-threshold, monotonicity, symmetry, convexity for a principal ideal).
+except the product suite, which checks that a_e is multiplicative over
+products of systems on disjoint variables on a fixed case list, and the
+monomial-volume suites at the end, which run 15-30 ideals in 2-4 variables
+(Blickle-Schwede-Tucker: positivity exactly below the F-pure threshold,
+monotonicity, symmetry, convexity for a principal ideal).
 
 The corpora stay deliberately small per case (few generators, low degree) so
 the whole module runs in well under a minute; seeds are fixed so failures are
@@ -9,6 +11,7 @@ reproducible.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +24,7 @@ from fsig.poly import PolyRing, Polynomial
 from fsig.signature import splitting_ideal, splitting_number
 from fsig.systems import PairSystem, ProductSystem, QuotientSystem, verify_graded
 
-from _oracles import macaulay_member
+from _oracles import dense_rank_modp, macaulay_member, repeated_product
 
 NAMES = ["x", "y", "z"]
 
@@ -184,6 +187,114 @@ def test_lattice_count_volume_envelope_on_cusp_ideal():
         C = max(errors[1] * p, errors[2] * p**2)
         for e in range(3, emax + 1):
             assert errors[e] <= C / p**e, (p, t, e, errors)
+
+
+# -- a_e of a product on disjoint variables ------------------------------
+#
+# On disjoint variables the box is the tensor product of the factors' boxes
+# and each generator u*v of the product acts as the Kronecker product of the
+# two multiplications, so a_e, the rank of the stacked multiplication map,
+# is the product of the factors' ranks.
+
+PRODUCT_CASES = [
+    # (p, factor-1 variables, factor 1, factor 2 in x, emax); a factor is
+    # ("pair", generators, t) or ("quotient", [f], None); snc pins 4, 25, 196
+    pytest.param(3, ("a",), ("pair", ["a"], "1/2"), ("pair", ["x"], "1/2"), 3, id="snc-p3"),
+    pytest.param(
+        2, ("a", "b"), ("pair", ["a^3 + b^2"], "1/4"), ("pair", ["x + x^2"], "1/3"), 3, id="cusp-p2"
+    ),
+    pytest.param(
+        2, ("a", "b"), ("quotient", ["a + a*b + b^3"], None), ("pair", ["x^2 + x^3"], "1/3"), 3,
+        id="quotient-p2",
+    ),
+    pytest.param(
+        3, ("a", "b"), ("quotient", ["b + a^2 + a*b"], None), ("pair", ["x^2"], "1/4"), 2,
+        id="quotient-p3",
+    ),
+    pytest.param(
+        3, ("a", "b"), ("pair", ["a*b", "a^2 - b^2"], "1/3"), ("pair", ["x^3"], "1/5"), 2,
+        id="two-generators-p3",
+    ),
+    pytest.param(
+        5, ("a", "b"), ("pair", ["a^2 + b^3"], "1/2"), ("pair", ["x + 2*x^2"], "1/3"), 2, id="cusp-p5"
+    ),
+    pytest.param(5, ("a", "b"), ("pair", ["a", "b^2"], "1/2"), ("pair", ["x"], "1/2"), 2, id="monomial-p5"),
+]
+
+
+def _dict_product(f, g, p):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(u + v for u, v in zip(m1, m2))
+            out[m] = (out.get(m, 0) + c1 * c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _factor_level_generators(spec, gens, p, e):
+    """Generators of b_e on plain dicts: f^(q-1) for a principal quotient
+    (f^q : f), and every product of N = ceil(t*(q-1)) generators for a pair."""
+    kind, _, t = spec
+    q = p**e
+    if kind == "quotient":
+        (f,) = gens
+        return [repeated_product(f, q - 1, p)]
+    one = {(0,) * len(next(iter(gens[0]))): 1}
+    out = []
+    for combo in itertools.combinations_with_replacement(gens, math.ceil(Fraction(t) * (q - 1))):
+        acc = one
+        for g in combo:
+            acc = _dict_product(acc, g, p)
+        out.append(acc)
+    return out
+
+
+def _box_multiplication_rank(gens, nvars, p, q):
+    """Rank of g -> (g*f_j mod <x_i^q>)_j: one dense row per box cell g."""
+    box = list(itertools.product(range(q), repeat=nvars))
+    col = {m: i for i, m in enumerate(box)}
+    rows = []
+    for g in box:
+        row = [0] * (len(box) * len(gens))
+        for j, f in enumerate(gens):
+            for m, c in f.items():
+                h = tuple(u + v for u, v in zip(g, m))
+                if max(h) < q:
+                    row[j * len(box) + col[h]] = c
+        rows.append(row)
+    return dense_rank_modp(rows, p)
+
+
+@pytest.mark.parametrize("p, names, spec1, spec2, emax", PRODUCT_CASES)
+def test_splitting_number_multiplicative_over_disjoint_product(p, names, spec1, spec2, emax):
+    ring = PolyRing.make(p, names + ("x",))
+
+    def system(spec):
+        kind, polys, t = spec
+        I = Ideal(ring, [ring.parse(s) for s in polys])
+        return QuotientSystem(ring, I) if kind == "quotient" else PairSystem(ring, I, Fraction(t))
+
+    own = [(spec1, PolyRing.make(p, names)), (spec2, PolyRing.make(p, ["x"]))]
+    values, nontrivial = [], 0
+    for e in range(1, emax + 1):
+        ranks = [
+            _box_multiplication_rank(
+                _factor_level_generators(spec, [R.parse(s).terms for s in spec[1]], p, e),
+                R.nvars,
+                p,
+                p**e,
+            )
+            for spec, R in own
+        ]
+        nontrivial += min(ranks) >= 2
+        for method in ("groebner", "linear", "both"):
+            product = ProductSystem(ring, [system(spec1), system(spec2)])
+            got = splitting_number(product, e, method=method)
+            assert got == ranks[0] * ranks[1], (spec1, spec2, e, method, ranks)
+        values.append(got)
+    assert nontrivial >= 1, (spec1, spec2)
+    if names == ("a",):
+        assert values == [4, 25, 196]
 
 
 # -- monomial volumes s(t) = vol(t*P cut to [0, 1]^n), n = 2..4 -----------
