@@ -8,23 +8,30 @@ basis route is the semantic reference.  Both eliminate with one
 _linalg.Echelon.  The colon walks cells in term order, tags each row(g) of
 _linalg.box_rows with a label column and reads each reduced-basis element
 off the labels of a dependent row; the rank route takes the slabs(), built
-term by term, and counts pivots.  When every generator of b_e is a
-monomial, no two cells share a column, so the rank is the number of cells
-with a non-empty row: the union of the boxes below q - m_j, which
-groebner.staircase_count counts without building a row, as it counts the
-standard monomials for quotient_length.  So method="both" checks the row
-builders, the walks and the read-outs (reduced basis from label columns and
-staircase count vs pivot count or box-union count), but not the shared
-echelon.  That is
-checked in tests only: tests/test_linalg.py against a brute-force box and
-tests/_oracles.py (dense elimination, Macaulay membership, brute-force
-standard-monomial and union-of-boxes counts).  Each system memoizes its I_e,
-which the basis route and the prime candidate both read.
+term by term, and counts pivots.  It descends level by level: the cells
+whose rows became pivots at level e - 1 are a monomial basis D_{e-1} of
+S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by one exact
+division for principal b_e and b_{e-1}) the rows of their lifts
+p*d + r, r in [0, p)^n, span the whole row space of level e, so it
+eliminates only those; every other level walks the whole reach.  When
+every generator of b_e is a monomial, no two cells share a column, so the
+rank is the number of cells with a non-empty row: the union of the boxes
+below q - m_j, which groebner.staircase_count counts without building a
+row, as it counts the standard monomials for quotient_length.  So
+method="both" checks the row builders, the walks and the read-outs
+(reduced basis from label columns and staircase count vs pivot count or
+box-union count), but not the shared echelon.  That is checked in tests
+only: tests/test_linalg.py against a brute-force box and tests/_oracles.py
+(dense elimination, Macaulay membership, brute-force standard-monomial and
+union-of-boxes counts).  Each system memoizes its I_e, which the basis route
+and the prime candidate both read, and the rank route's newest D_e, which
+the basis route never reads.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,7 +46,7 @@ from .groebner import (
     quotient_length,
     staircase_count,
 )
-from .ideals import bracket_power, colon, ideal_sum
+from .ideals import ExactDivisionError, bracket_power, colon, exact_divide, ideal_sum
 from .poly import PolyRing
 from .systems import FGradedSystem, QuotientSystem
 
@@ -87,19 +94,62 @@ def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
 
 def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
     """Rank over F_p of g -> (g*f_j mod <x_i^q>) on the box basis of exponents < q."""
-    ring = sys.ring
-    q = ring.p**e
+    q = sys.ring.p**e
     polys = [f.terms for f in sys.b_of(e).generators]
     if all(len(f) == 1 for f in polys):
         # monomial generators: no two cells share a column, so the rank is the
         # number of cells with a non-empty row, the union of the boxes below q - m
         return staircase_count((tuple(q - u for u in m) for f in polys for m in f), corners=True)
-    _, slabs = _linalg.box_rows([q] * ring.nvars, polys)
-    ech = _linalg.Echelon(ring.p)
-    for slab in slabs():
-        for vec in slab:
-            ech.insert(vec)
-    return ech.rank
+    return len(_pivot_cells(sys, e))
+
+
+def _descends(sys: FGradedSystem, e: int) -> bool:
+    """Whether b_e lies in b_{e-1}^[p], certified for principal b_e and b_{e-1}.
+
+    Then I_{e-1}^[p] lies in I_e: g*b_{e-1} in m^[q/p] gives g^p*b_e in
+    m^[q].  One exact division of b_e's generator by the p-th power of
+    b_{e-1}'s decides it.  Level 1 never descends: its whole box is already
+    the lift of D_0 = {0}.
+    """
+    if e < 2:
+        return False
+    now, before = sys.b_of(e).generators, sys.b_of(e - 1).generators
+    if len(now) != 1 or len(before) != 1:
+        return False
+    try:
+        exact_divide(now[0], before[0].frobenius(1))
+    except ExactDivisionError:
+        return False
+    return True
+
+
+def _pivot_cells(sys: FGradedSystem, e: int) -> array:
+    """D_e, the cells whose rows became pivots on the rank route at level e, memoized.
+
+    Rows are independent exactly when their monomials are independent modulo
+    I_e, so D_e is a monomial basis of S/I_e and a_e = |D_e|.  When
+    _descends(sys, e), S/I_e is spanned by the lifts p*d + r, r in [0, p)^n,
+    of D_{e-1} (S is free over S^p on the x^r), and level e eliminates only
+    their rows; otherwise it walks the whole reach.  The cells are indices of
+    the box [0, q)^n, in cell order, 4 bytes each while they fit.  Only level
+    e + 1 reads D_e, so the memo drops D_{e-1} once D_e is built.
+    """
+    got = sys.pivot_cells.get(e)
+    if got is None:
+        ring = sys.ring
+        q = ring.p**e
+        parents = _pivot_cells(sys, e - 1) if _descends(sys, e) else None
+        polys = [f.terms for f in sys.b_of(e).generators]
+        _, slabs = _linalg.box_rows([q] * ring.nvars, polys)
+        ech = _linalg.Echelon(ring.p)
+        got = array("I" if q**ring.nvars <= 2**32 else "Q")
+        for first, offsets, rows in slabs(parents, ring.p):
+            for k, vec in zip(offsets, rows):
+                if ech.insert(vec):
+                    got.append(first + k)
+        sys.pivot_cells.pop(e - 1, None)
+        sys.pivot_cells[e] = got
+    return got
 
 
 def splitting_number(sys: FGradedSystem, e: int, method: str = "both") -> int:

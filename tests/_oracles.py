@@ -117,6 +117,24 @@ def dense_rank_modp(rows: List[List[int]], p: int) -> int:
     return len(dense_echelon_modp(rows, p))
 
 
+def box_multiplication_rank(
+    gens: Sequence[Dict[Tuple[int, ...], int]], nvars: int, p: int, q: int
+) -> int:
+    """Rank of g -> (g*f_j mod <x_i^q>)_j: one dense row per box cell g."""
+    box = list(itertools.product(range(q), repeat=nvars))
+    col = {m: i for i, m in enumerate(box)}
+    rows = []
+    for g in box:
+        row = [0] * (len(box) * len(gens))
+        for j, f in enumerate(gens):
+            for m, c in f.items():
+                h = tuple(u + v for u, v in zip(g, m))
+                if max(h) < q:
+                    row[j * len(box) + col[h]] = c
+        rows.append(row)
+    return dense_rank_modp(rows, p)
+
+
 def _monomials_up_to(nvars: int, deg: int) -> List[Tuple[int, ...]]:
     out = []
     for exps in itertools.product(range(deg + 1), repeat=nvars):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -92,10 +93,8 @@ def test_echelon_repeats_and_scalar_multiples_randomized(p):
         _check_echelon(p, rows)
 
 
-def _random_box_problem(rng):
-    """n = 1-3, box sides 0-4, 1-3 polys of up to 4 terms with exponents up to one past the box."""
-    n = rng.randint(1, 3)
-    box = [rng.choice([0, 1, 2, 3, 4]) for _ in range(n)]
+def _random_polys(rng, box):
+    """1-3 polys of up to 4 terms with exponents up to one past the box."""
     polys = []
     for _ in range(rng.randint(1, 3)):
         terms = {}
@@ -103,7 +102,14 @@ def _random_box_problem(rng):
             # exponents up to one past the box side, so some terms never land
             terms[tuple(rng.randint(0, b + 1) for b in box)] = rng.randint(1, 6)
         polys.append(terms)
-    return box, polys
+    return polys
+
+
+def _random_box_problem(rng):
+    """n = 1-3, box sides 0-4, and _random_polys on that box."""
+    n = rng.randint(1, 3)
+    box = [rng.choice([0, 1, 2, 3, 4]) for _ in range(n)]
+    return box, _random_polys(rng, box)
 
 
 def test_box_rows_match_brute_force_randomized():
@@ -126,6 +132,17 @@ def test_box_rows_match_brute_force_randomized():
             assert all(got.values())
 
 
+def _check_slabs(box, row, got, walked):
+    """The slabs hold the index and row of each walked cell with a non-empty
+    row, in cell order, and each slab the cells of one first exponent."""
+    index = {g: k for k, g in enumerate(itertools.product(*(range(b) for b in box)))}
+    expected = [(index[g], row(g)) for g in walked if row(g)]
+    pairs = [(first + k, r) for first, offsets, rows in got for k, r in zip(offsets, rows)]
+    assert pairs == expected, (box, walked)
+    per_slab = math.prod(box[1:])
+    assert all(first % per_slab == 0 and max(offsets, default=0) < per_slab for first, offsets, _ in got)
+
+
 def test_box_slabs_match_rows_randomized():
     rng = random.Random(4343)
     for _ in range(300):
@@ -133,6 +150,25 @@ def test_box_slabs_match_rows_randomized():
         cells = list(itertools.product(*(range(b) for b in box)))
         row, slabs = box_rows(box, polys)
         got = list(slabs())
-        assert [r for slab in got for r in slab] == [row(g) for g in cells if row(g)], (box, polys)
+        _check_slabs(box, row, got, cells)
         # slab a holds exactly the non-empty rows of the cells with first exponent a
-        assert got == [[row(g) for g in cells if g[0] == a and row(g)] for a in range(len(got))]
+        assert [rows for _, _, rows in got] == [
+            [row(g) for g in cells if g[0] == a and row(g)] for a in range(len(got))
+        ]
+    # the walk restricted to the lifts p*d + r, r in [0, p)^n, of random parent
+    # cells d of the box with sides box_i / p; p = 1 walks the parents themselves
+    for _ in range(300):
+        p = rng.choice([1, 2, 3])
+        n = rng.randint(1, 3)
+        pbox = [rng.randint(0, 3) for _ in range(n)]
+        box = [p * b for b in pbox]
+        polys = _random_polys(rng, box)
+        pcells = list(itertools.product(*(range(b) for b in pbox)))
+        chosen = sorted(rng.sample(range(len(pcells)), rng.randint(0, len(pcells))))
+        walked = sorted(
+            tuple(p * u + v for u, v in zip(pcells[k], r))
+            for k in chosen
+            for r in itertools.product(range(p), repeat=n)
+        )
+        row, slabs = box_rows(box, polys)
+        _check_slabs(box, row, list(slabs(chosen, p)), walked)

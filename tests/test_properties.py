@@ -24,7 +24,7 @@ from fsig.poly import PolyRing, Polynomial
 from fsig.signature import splitting_ideal, splitting_number
 from fsig.systems import PairSystem, ProductSystem, QuotientSystem, verify_graded
 
-from _oracles import dense_rank_modp, macaulay_member, repeated_product
+from _oracles import box_multiplication_rank, macaulay_member, repeated_product
 
 NAMES = ["x", "y", "z"]
 
@@ -249,22 +249,6 @@ def _factor_level_generators(spec, gens, p, e):
     return out
 
 
-def _box_multiplication_rank(gens, nvars, p, q):
-    """Rank of g -> (g*f_j mod <x_i^q>)_j: one dense row per box cell g."""
-    box = list(itertools.product(range(q), repeat=nvars))
-    col = {m: i for i, m in enumerate(box)}
-    rows = []
-    for g in box:
-        row = [0] * (len(box) * len(gens))
-        for j, f in enumerate(gens):
-            for m, c in f.items():
-                h = tuple(u + v for u, v in zip(g, m))
-                if max(h) < q:
-                    row[j * len(box) + col[h]] = c
-        rows.append(row)
-    return dense_rank_modp(rows, p)
-
-
 @pytest.mark.parametrize("p, names, spec1, spec2, emax", PRODUCT_CASES)
 def test_splitting_number_multiplicative_over_disjoint_product(p, names, spec1, spec2, emax):
     ring = PolyRing.make(p, names + ("x",))
@@ -278,7 +262,7 @@ def test_splitting_number_multiplicative_over_disjoint_product(p, names, spec1, 
     values, nontrivial = [], 0
     for e in range(1, emax + 1):
         ranks = [
-            _box_multiplication_rank(
+            box_multiplication_rank(
                 _factor_level_generators(spec, [R.parse(s).terms for s in spec[1]], p, e),
                 R.nvars,
                 p,

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import union_of_boxes_count
+from _oracles import box_multiplication_rank, union_of_boxes_count
 from fsig._linalg import Echelon, box_rows
 from fsig.groebner import Ideal, ideal_membership
 from fsig.ideals import bracket_power, colon, ideal_equals
 from fsig.poly import PolyRing, Polynomial
+import fsig.signature as signature
 from fsig.signature import (
     InfeasibleError,
     SplittingReport,
+    _descends,
     _splitting_number_rank,
     compatibility_check,
     is_f_pure,
@@ -350,8 +352,8 @@ def _cone(p):
     return QuotientSystem(R, Ideal(R, [R.parse("x*y - z^2")]))
 
 
-def _cusp(p):
-    return _pair(PolyRing.make(p, ["a", "b"]), "a^3 - b^2", Fraction(1, 2))
+def _cusp(p, t=Fraction(1, 2)):
+    return _pair(PolyRing.make(p, ["a", "b"]), "a^3 - b^2", t)
 
 
 def _snc(p):
@@ -376,6 +378,92 @@ def test_rank_route_pins(system, expected):
     sys_ = system()
     got = tuple(splitting_number(sys_, e, method="linear") for e in range(1, len(expected) + 1))
     assert got == expected
+
+
+# -- Frobenius descent on the rank route ----------------------------------
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1, 5)], ids=["t1/2", "t1/5"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_descent_certificate_truth_table_on_cusp_pairs(p, t):
+    # b_e = (f^N(e)) with N(e) = ceil(t*(p^e - 1)): b_{e+1} lies in
+    # b_e^[p] = (f^(p*N(e))) exactly when N(e+1) >= p*N(e)
+    sys_ = _cusp(p, t)
+    N = [sys_.exponent(e) for e in range(1, 5)]
+    got = [_descends(sys_, e + 1) for e in range(1, 4)]
+    assert got == [N[e] >= p * N[e - 1] for e in range(1, 4)]
+    if (p, t) == (3, Fraction(1, 5)):
+        assert N[:3] == [1, 2, 6] and got[:2] == [False, True]
+    assert not _descends(sys_, 1)  # level 1 has no parent level
+
+
+def test_descent_without_its_certificate_gives_a_wrong_count(monkeypatch):
+    # cusp t = 1/5, p = 3: N = 1, 2, so b_2 is not inside b_1^[3] and the
+    # lifts of D_1 do not span S/I_2; skipping the check must show
+    with monkeypatch.context() as m:
+        m.setattr(signature, "_descends", lambda sys_, e: e > 1)
+        assert splitting_number(_cusp(3, Fraction(1, 5)), 2, method="linear") == 27
+    assert splitting_number(_cusp(3, Fraction(1, 5)), 2, method="linear") == 45
+
+
+def test_descended_rank_matches_dense_rank_randomized():
+    # random principal quotients (f^q : f) = (f^(q-1)) and pairs (f)^N(e):
+    # the rank route, descending wherever the certificate holds, against a
+    # dense rank over every cell of the box
+    rng = random.Random(7272)
+    shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
+    walks = [0, 0]  # levels above 1 walking the whole reach, and the lifts
+    for _ in range(20):
+        p, n, emax = rng.choice(shapes)
+        R = PolyRing.make(p, ["x", "y", "z"][:n])
+        f = Polynomial(R, {
+            tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(1, p - 1)
+            for _ in range(rng.randint(2, 3))
+        })
+        if len(f.terms) < 2 or f.is_constant():
+            continue
+        if rng.random() < 0.5:
+            sys_ = QuotientSystem(R, Ideal(R, [f]))
+        else:
+            sys_ = PairSystem(R, Ideal(R, [f]), Fraction(1, rng.randint(1, 6)))
+        for e in range(1, emax + 1):
+            gens = [g.terms for g in sys_.b_of(e).generators]
+            expected = box_multiplication_rank(gens, n, p, p**e)
+            assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
+            if e > 1:
+                walks[_descends(sys_, e)] += 1
+    assert min(walks) >= 3, walks  # both the lifts and, with no certificate, the whole reach
+
+
+@pytest.mark.parametrize(
+    "system, e",
+    [
+        (lambda: _cusp(3, Fraction(1, 5)), 3),
+        (lambda: _cone(3), 3),
+        (lambda: _cusp(5), 2),
+    ],
+    ids=["cusp-t1/5-p3", "cone-p3", "cusp-p5"],
+)
+def test_rank_route_at_one_level_matches_the_sequence(system, e):
+    # a direct call recurses through the levels below it on its own, and the
+    # memo keeps only the newest level's pivot cells
+    sys_ = system()
+    assert splitting_number(sys_, e, method="linear") == signature_sequence(system(), e).rows[-1].a_e
+    assert list(sys_.pivot_cells) == [e]
+
+
+def test_descent_frontier_canary():
+    # cone p = 3: a_e = (q^2 + 1)/2.  Level 5 walks 88,587 lifted cells
+    # against the 1.26M rows of its whole reach.
+    cone = _cone(3)
+    assert [splitting_number(cone, e, method="linear") for e in range(1, 6)] == [
+        (3 ** (2 * e) + 1) // 2 for e in range(1, 6)
+    ]
+    # cusp t = 1/5, p = 3: the certificate fails at levels 2 and 4
+    linear, basis = _cusp(3, Fraction(1, 5)), _cusp(3, Fraction(1, 5))
+    got = [splitting_number(linear, e, method="linear") for e in range(1, 5)]
+    assert got == [3, 45, 405, 3969]
+    assert got == [splitting_number(basis, e, method="groebner") for e in range(1, 5)]
 
 
 class _FixedSystem(FGradedSystem):
