@@ -2,20 +2,23 @@
 
 box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
 columns and which cells have a row.  It reads the matrix two ways: row(g)
-for one cell (the colon's term-order walk) and slabs() term-major, where
-each term writes only the cells it reaches (the rank route).
-slabs(parents, p) walks only the Frobenius lifts p*d + r of a set of parent
-cells d, which in a slab are runs of p cells along the last variable (the
-rank route's descent from the previous level's pivot cells).  A vector is a
-dict mapping column index to a nonzero coefficient in [1, p); the zero
-vector is the empty dict.  A row holds one entry per generator term landing
-in the box, out of #gens * |box| columns, so a sparse row costs what it
-holds.  When every generator is one monomial, distinct cells never share a
-column, so the non-empty rows are independent (the rank route counts them
-with groebner.staircase_count instead of building them).  Echelon keeps each
-pivot row as it reduced, not made monic.  Its columns below 0 are label
-columns, never a lead: the colon tags each candidate row with one, so a row
-that depends on earlier ones reduces to the labels of its dependency.
+for one cell (the colon's term-order walk) and slabs(parents, s)
+term-major, where each term writes only the cells it reaches (the rank
+route).  slabs has one walk: the lifts s*d + r, r in [0, s)^n, of a set of
+parent cells d, which in a slab are runs of s cells along the last
+variable.  The rank route's descent lifts the previous level's pivot cells
+by p; a level with no descent lifts D_0 = {0} by q, which walks the whole
+box [0, q)^n, as S is free over S^q on the x^r with r in [0, q)^n.  A
+vector is a dict mapping column index to a nonzero coefficient in [1, p);
+the zero vector is the empty dict.  A row holds one entry per generator
+term landing in the box, out of #gens * |box| columns, so a sparse row
+costs what it holds.  When every generator is one monomial, distinct cells
+never share a column, so the non-empty rows are independent (the rank
+route counts them with groebner.staircase_count instead of building them).
+Echelon keeps each pivot row as it reduced, not made monic.  Its columns
+below 0 are label columns, never a lead: the colon tags each candidate row
+with one, so a row that depends on earlier ones reduces to the labels of
+its dependency.
 """
 
 from __future__ import annotations
@@ -24,29 +27,30 @@ from bisect import bisect_left
 from collections import defaultdict
 from itertools import groupby, product
 from operator import lt, mul
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Row = Dict[int, int]
+Slab = Tuple[int, List[int], List[Row]]  # (index of the slab's first cell, in-slab offsets, rows)
 
 
 def box_rows(
     box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]
-) -> Tuple[Callable[[Tuple[int, ...]], Row], Callable[..., Iterator[Tuple[int, List[int], List[Row]]]]]:
-    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and slabs() of the rows.
+) -> Tuple[Callable[[Tuple[int, ...]], Row], Callable[[Iterable[int], int], Iterator[Slab]]]:
+    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and slabs(parents, s) of them.
 
     polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
     has column j*|box| + the mixed-radix index of t (first variable most
     significant).  Term m reaches cell g exactly when g_i < box_i - m_i for
-    every i, so terms never share a column.  slabs() yields, for each value
-    of the first exponent up to the largest box_1 - m_1, that slab's non-empty
-    rows in cell order as (index of the slab's first cell, in-slab offsets,
-    rows); every in-box term walks only the sub-box
-    prod_{i>=2} [0, box_i - m_i) it reaches.  Concatenated, the slabs give
-    index = first + offset and row(g) for every g in the box with row(g).
-    slabs(parents, p) walks only the lifts p*d + r, r in [0, p)^n, of the
-    parent cells d, given as cell indices in cell order of the box with
-    sides box_i / p: it yields the slabs holding lifts, and concatenated
-    they give the same for the lifts g alone.  box has at least one side.
+    every i, so terms never share a column.  slabs(parents, s) walks the
+    lifts g = s*d + r, r in [0, s)^n, of the parent cells d, given as cell
+    indices in cell order of the parent box; box_i = s * (parent side i).
+    It yields, for each value of the first exponent that holds lifts, up to
+    the largest box_1 - m_1, that slab's non-empty rows in cell order as
+    (index of the slab's first cell, in-slab offsets, rows); every in-box
+    term walks only the lifts it reaches.  Concatenated, the slabs give
+    index = first + offset and row(g) for every lift g with row(g).  When
+    every side is s, the parents [0] give the whole box.  box has at least
+    one side.
     """
     strides, size = [], 1
     for b in reversed(box):
@@ -64,64 +68,43 @@ def box_rows(
         base = sum(map(mul, g, strides))
         return {off + base: c for bounds, off, c in terms if all(map(lt, g, bounds))}
 
-    def lifts(parents: Iterable[int], p: int) -> Iterator[Tuple[int, Dict[int, List[int]]]]:
-        # (d_1, walked) per group of parents sharing d_1, decoded once per
-        # parent.  In each slab p*d_1 + r_1, parent d lifts, for each middle
-        # r, to the run of p cells from last exponent p*d_n on; walked maps
-        # each middle head to the in-slab offsets of its runs, in cell order.
-        width = p if box[1:] else 1
-        shifts = [sum(map(mul, r, mid)) for r in product(range(p), repeat=len(mid))]
-        pstrides = [s // p ** (len(box) - 1 - i) for i, s in enumerate(strides)]  # parent box
+    def slabs(parents: Iterable[int], s: int) -> Iterator[Slab]:
+        # a term reaches, in each slab below its first bound, the cells of
+        # the middle heads it reaches whose last exponent is below its last bound
+        walk = []
+        for bounds, off, c in terms:
+            heads = {sum(map(mul, g, mid)) for g in product(*map(range, bounds[1:-1]))}
+            walk.append((bounds[0], off, c, heads, bounds[-1] if bounds[1:] else 1))
+        top = max((w[0] for w in walk), default=0)
+        width = s if box[1:] else 1
+        shifts = [sum(map(mul, r, mid)) for r in product(range(s), repeat=len(mid))]
+        pstrides = [t // s ** (len(box) - 1 - i) for i, t in enumerate(strides)]  # parent box
         outer, inner = pstrides[0], pstrides[1:-1]
         for d1, group in groupby(parents, lambda d: d // outer):
+            # parents sharing d_1 lift into the slabs s*d_1 + r_1: parent d, for
+            # each middle r, to the run of s cells from last exponent s*d_n on;
+            # walked maps each middle head to its runs' in-slab offsets, in order
             walked: Dict[int, List[int]] = defaultdict(list)
             for d in group:
                 rest, head = d - d1 * outer, 0
-                for ps, s in zip(inner, mid):
+                for ps, t in zip(inner, mid):
                     u, rest = divmod(rest, ps)
-                    head += u * s
+                    head += u * t
                 for r in shifts:
-                    h = p * head + r
-                    walked[h].extend(range(h + p * rest, h + p * rest + width))
-            yield d1, walked
-
-    def slabs(
-        parents: Optional[Iterable[int]] = None, p: int = 1
-    ) -> Iterator[Tuple[int, List[int], List[Row]]]:
-        # in one slab a term reaches, for each head (the offset of a reached
-        # cell of the middle variables), the walked cells at that head below
-        # head + its last bound: on the whole reach, a run of `last` cells
-        walk = []
-        for bounds, off, c in terms:
-            heads = [sum(map(mul, g, mid)) for g in product(*map(range, bounds[1:-1]))]
-            last = bounds[-1] if bounds[1:] else 1
-            walk.append((bounds[0], off, c, heads if parents is None else set(heads), last))
-        top = max((w[0] for w in walk), default=0)
-        if parents is None:
-            layers: Iterable[Tuple[int, Optional[Dict[int, List[int]]]]] = ((a, None) for a in range(top))
-        else:
-            layers = (
-                (a, walked)
-                for d1, walked in lifts(parents, p)
-                for a in range(p * d1, min(p * d1 + p, top))
-            )
-        for a, walked in layers:
-            slab: Dict[int, Row] = defaultdict(dict)
-            base = a * strides[0]
-            for b, off, c, heads, last in walk:
-                if a < b:
-                    at = off + base
-                    if walked is None:
-                        for h in heads:
-                            for k in range(h, h + last):
-                                slab[k][at + k] = c
-                    else:
+                    h = s * head + r
+                    walked[h].extend(range(h + s * rest, h + s * rest + width))
+            for a in range(s * d1, min(s * d1 + s, top)):
+                slab: Dict[int, Row] = defaultdict(dict)
+                base = a * strides[0]
+                for b, off, c, heads, last in walk:
+                    if a < b:
+                        at = off + base
                         for h, run in walked.items():
                             if h in heads:
                                 for k in run[: bisect_left(run, h + last)]:
                                     slab[k][at + k] = c
-            offsets = sorted(slab)
-            yield base, offsets, [slab[k] for k in offsets]
+                offsets = sorted(slab)
+                yield base, offsets, [slab[k] for k in offsets]
 
     return row, slabs
 

@@ -7,13 +7,15 @@ on the box basis below p^e).  The rank route is the performance path; the
 basis route is the semantic reference.  Both eliminate with one
 _linalg.Echelon.  The colon walks cells in term order, tags each row(g) of
 _linalg.box_rows with a label column and reads each reduced-basis element
-off the labels of a dependent row; the rank route takes the slabs(), built
-term by term, and counts pivots.  It descends level by level: the cells
-whose rows became pivots at level e - 1 are a monomial basis D_{e-1} of
-S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by one exact
-division for principal b_e and b_{e-1}) the rows of their lifts
+off the labels of a dependent row; the rank route takes the slabs, built
+term by term, and counts pivots.  It descends level by level, on one
+walk: the cells whose rows became pivots at level e - 1 are a monomial
+basis D_{e-1} of S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by
+one exact division for principal b_e and b_{e-1}) the rows of their lifts
 p*d + r, r in [0, p)^n, span the whole row space of level e, so it
-eliminates only those; every other level walks the whole reach.  When
+eliminates only those.  Every other level lifts D_0 = {0} by q: b_0 = S
+and I_0 = m, so b_e lies in b_0^[q] = S always, and as S is free over S^q
+on the x^r, r in [0, q)^n, the lifts of D_0 are the whole box.  When
 every generator of b_e is a monomial, no two cells share a column, so the
 rank is the number of cells with a non-empty row: the union of the boxes
 below q - m_j, which groebner.staircase_count counts without building a
@@ -130,20 +132,21 @@ def _pivot_cells(sys: FGradedSystem, e: int) -> array:
     I_e, so D_e is a monomial basis of S/I_e and a_e = |D_e|.  When
     _descends(sys, e), S/I_e is spanned by the lifts p*d + r, r in [0, p)^n,
     of D_{e-1} (S is free over S^p on the x^r), and level e eliminates only
-    their rows; otherwise it walks the whole reach.  The cells are indices of
+    their rows; otherwise it eliminates the rows of the lifts of D_0 = {0}
+    by q, the whole box (b_e lies in b_0^[q] = S).  The cells are indices of
     the box [0, q)^n, in cell order, 4 bytes each while they fit.  Only level
     e + 1 reads D_e, so the memo drops D_{e-1} once D_e is built.
     """
     got = sys.pivot_cells.get(e)
     if got is None:
-        ring = sys.ring
-        q = ring.p**e
-        parents = _pivot_cells(sys, e - 1) if _descends(sys, e) else None
+        ring, p = sys.ring, sys.ring.p
+        q = p**e
+        parents, s = (_pivot_cells(sys, e - 1), p) if _descends(sys, e) else ((0,), q)
         polys = [f.terms for f in sys.b_of(e).generators]
         _, slabs = _linalg.box_rows([q] * ring.nvars, polys)
-        ech = _linalg.Echelon(ring.p)
+        ech = _linalg.Echelon(p)
         got = array("I" if q**ring.nvars <= 2**32 else "Q")
-        for first, offsets, rows in slabs(parents, ring.p):
+        for first, offsets, rows in slabs(parents, s):
             for k, vec in zip(offsets, rows):
                 if ech.insert(vec):
                     got.append(first + k)

@@ -144,31 +144,36 @@ def _check_slabs(box, row, got, walked):
 
 
 def test_box_slabs_match_rows_randomized():
+    # the walk of the lifts s*d + r, r in [0, s)^n, of random parent cells d
+    # of the box with sides box_i / s (s = 1 walks the parents themselves);
+    # every third draw lifts the one cell of the all-1 box: the whole box
     rng = random.Random(4343)
-    for _ in range(300):
-        box, polys = _random_box_problem(rng)
-        cells = list(itertools.product(*(range(b) for b in box)))
-        row, slabs = box_rows(box, polys)
-        got = list(slabs())
-        _check_slabs(box, row, got, cells)
-        # slab a holds exactly the non-empty rows of the cells with first exponent a
-        assert [rows for _, _, rows in got] == [
-            [row(g) for g in cells if g[0] == a and row(g)] for a in range(len(got))
-        ]
-    # the walk restricted to the lifts p*d + r, r in [0, p)^n, of random parent
-    # cells d of the box with sides box_i / p; p = 1 walks the parents themselves
-    for _ in range(300):
-        p = rng.choice([1, 2, 3])
+    whole_shapes = set()
+    for draw in range(450):
         n = rng.randint(1, 3)
-        pbox = [rng.randint(0, 3) for _ in range(n)]
-        box = [p * b for b in pbox]
+        whole = draw % 3 == 0
+        if whole:
+            s, pbox = rng.randint(1, 4), [1] * n
+            whole_shapes.add((n, s))
+        else:
+            s, pbox = rng.choice([1, 2, 3]), [rng.randint(0, 3) for _ in range(n)]
+        box = [s * b for b in pbox]
         polys = _random_polys(rng, box)
         pcells = list(itertools.product(*(range(b) for b in pbox)))
-        chosen = sorted(rng.sample(range(len(pcells)), rng.randint(0, len(pcells))))
+        chosen = [0] if whole else sorted(rng.sample(range(len(pcells)), rng.randint(0, len(pcells))))
         walked = sorted(
-            tuple(p * u + v for u, v in zip(pcells[k], r))
+            tuple(s * u + v for u, v in zip(pcells[k], r))
             for k in chosen
-            for r in itertools.product(range(p), repeat=n)
+            for r in itertools.product(range(s), repeat=n)
         )
         row, slabs = box_rows(box, polys)
-        _check_slabs(box, row, list(slabs(chosen, p)), walked)
+        got = list(slabs(chosen, s))
+        _check_slabs(box, row, got, walked)
+        if whole:
+            cells = list(itertools.product(*(range(b) for b in box)))
+            assert walked == cells
+            # slab a holds exactly the non-empty rows of the cells with first exponent a
+            assert [rows for _, _, rows in got] == [
+                [row(g) for g in cells if g[0] == a and row(g)] for a in range(len(got))
+            ]
+    assert whole_shapes == {(n, s) for n in (1, 2, 3) for s in (1, 2, 3, 4)}

@@ -406,13 +406,46 @@ def test_descent_without_its_certificate_gives_a_wrong_count(monkeypatch):
     assert splitting_number(_cusp(3, Fraction(1, 5)), 2, method="linear") == 45
 
 
+@pytest.mark.parametrize(
+    "system, uncertified",
+    [
+        (lambda: _cusp(3), ()),
+        (lambda: _cusp(3, Fraction(1, 5)), (1,)),
+        (lambda: _cusp(5), ()),
+        (lambda: _cusp(5, Fraction(1, 5)), ()),
+        (lambda: _cone(3), ()),
+    ],
+    ids=["cusp-p3-t1/2", "cusp-p3-t1/5", "cusp-p5-t1/2", "cusp-p5-t1/5", "cone-p3"],
+)
+def test_descent_certificate_gives_the_frobenius_facts(system, uncertified):
+    # where b_{e+1} lies in b_e^[p], I_e^[p] lies in I_{e+1} (basis route),
+    # and S/I_{e+1} is spanned by the p^n lifts x^(p*d + r) of a basis of S/I_e
+    sys_ = system()
+    p, n = sys_.ring.p, sys_.ring.nvars
+    ideals = {e: splitting_ideal(sys_, e) for e in (1, 2, 3)}
+    a = {e: splitting_number(sys_, e, method="groebner") for e in (1, 2, 3)}
+    for e in (1, 2):
+        contained = all(ideal_membership(g, ideals[e + 1]) for g in bracket_power(ideals[e], 1).generators)
+        if _descends(sys_, e + 1):
+            assert e not in uncertified
+            assert contained, e
+            assert a[e + 1] <= p**n * a[e], e
+        else:
+            assert e in uncertified
+    if uncertified:
+        # cusp t = 1/5, p = 3 at e = 1: N = 1, 2, the containment fails, and
+        # the 27 lifts of a basis of S/I_1 cannot span S/I_2, of length 45
+        assert not all(ideal_membership(g, ideals[2]) for g in bracket_power(ideals[1], 1).generators)
+        assert (p**n * a[1], a[2]) == (27, 45)
+
+
 def test_descended_rank_matches_dense_rank_randomized():
     # random principal quotients (f^q : f) = (f^(q-1)) and pairs (f)^N(e):
     # the rank route, descending wherever the certificate holds, against a
     # dense rank over every cell of the box
     rng = random.Random(7272)
     shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
-    walks = [0, 0]  # levels above 1 walking the whole reach, and the lifts
+    walks = [0, 0]  # levels above 1 lifting D_0 = {0} by q (the whole box), and by p
     for _ in range(20):
         p, n, emax = rng.choice(shapes)
         R = PolyRing.make(p, ["x", "y", "z"][:n])
@@ -432,7 +465,7 @@ def test_descended_rank_matches_dense_rank_randomized():
             assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
             if e > 1:
                 walks[_descends(sys_, e)] += 1
-    assert min(walks) >= 3, walks  # both the lifts and, with no certificate, the whole reach
+    assert min(walks) >= 3, walks  # both the descent and, with no certificate, the whole box
 
 
 @pytest.mark.parametrize(
