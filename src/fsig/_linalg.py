@@ -2,111 +2,181 @@
 
 box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
 columns and which cells have a row.  It reads the matrix two ways: row(g)
-for one cell (the colon's term-order walk) and slabs(parents, s)
-term-major, where each term writes only the cells it reaches (the rank
-route).  slabs has one walk: the lifts s*d + r, r in [0, s)^n, of a set of
-parent cells d, which in a slab are runs of s cells along the last
-variable.  The rank route's descent lifts the previous level's pivot cells
-by p; a level with no descent lifts D_0 = {0} by q, which walks the whole
-box [0, q)^n, as S is free over S^q on the x^r with r in [0, q)^n.  A
-vector is a dict mapping column index to a nonzero coefficient in [1, p);
-the zero vector is the empty dict.  A row holds one entry per generator
-term landing in the box, out of #gens * |box| columns, so a sparse row
-costs what it holds.  When every generator is one monomial, distinct cells
-never share a column, so the non-empty rows are independent (the rank
-route counts them with groebner.staircase_count instead of building them).
-Echelon keeps each pivot row as it reduced, not made monic.  Its columns
-below 0 are label columns, never a lead: the colon tags each candidate row
-with one, so a row that depends on earlier ones reduces to the labels of
-its dependency.
+for one cell (the colon's term-order walk) and blocks(parents, s), the rank
+route's walk of the lifts s*d + r, r in [0, s)^n, of a set of parent cells
+d.  The rank route's descent lifts the previous level's pivot cells by p; a
+level with no descent lifts every cell of the previous level's box by p,
+which is the whole box [0, q)^n.  When every generator f_j is homogeneous
+for a torus grading W (torus_grading, the integer kernel of the differences
+of f_j's exponents), the row of cell g writes only columns t of f_j with
+W*t - W*m_j = W*g: the matrix is block diagonal in W*g, its rank the sum of
+the block ranks, and blocks walks it block by block.  A vector is a dict
+mapping column index to a nonzero coefficient in [1, p); the zero vector is
+the empty dict.  A row holds one entry per generator term landing in the
+box, out of #gens * |box| columns, so a sparse row costs what it holds.
+When every generator is one monomial, distinct cells never share a column,
+so the non-empty rows are independent (the rank route counts them with
+groebner.staircase_count instead of building them).  Echelon keeps each
+pivot row as it reduced, not made monic.  Its columns below 0 are label
+columns, never a lead: the colon tags each candidate row with one, so a row
+that depends on earlier ones reduces to the labels of its dependency.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from itertools import groupby, product
-from operator import lt, mul
+from operator import itemgetter, lt, mul, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from .newton import _bareiss, _solve_int
+
 Row = Dict[int, int]
-Slab = Tuple[int, List[int], List[Row]]  # (index of the slab's first cell, in-slab offsets, rows)
+BLOCK_LIFTS = 256  # blocks(): consecutive degrees merge into one block until it holds this many lifts
+Block = Iterator[Tuple[int, Row]]  # (cell index, row), in cell order
+
+
+def torus_grading(groups: Iterable[Sequence[Tuple[int, ...]]], n: int) -> List[Tuple[int, ...]]:
+    """Integer rows W spanning the vectors orthogonal to every difference of two exponents of one group.
+
+    Every group (one generator's exponents) then has a single W-degree.  Each
+    independent difference found recomputes W: with pivot columns P of the
+    differences D so far, each free column f gives the vector that is den at
+    f and x on P, where D_P x = -den * D_f (_solve_int).  No difference
+    leaves the unit rows; differences of rank n leave [], a single degree.
+    """
+    diffs: List[Tuple[int, ...]] = []
+    W = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    for ms in groups:
+        for m in ms[1:]:
+            if any(sum(map(mul, v, m)) != sum(map(mul, v, ms[0])) for v in W):
+                diffs.append(tuple(map(sub, m, ms[0])))
+                P: List[int] = []
+                for k in range(n):
+                    if _bareiss([[d[c] for c in P + [k]] for d in diffs])[0] > len(P):
+                        P.append(k)
+                W = []
+                for f in (k for k in range(n) if k not in P):
+                    x, den = _solve_int([[d[c] for c in P] for d in diffs], [-d[f] for d in diffs])
+                    W.append(tuple(den if k == f else x[P.index(k)] if k in P else 0 for k in range(n)))
+    return W
 
 
 def box_rows(
     box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]
-) -> Tuple[Callable[[Tuple[int, ...]], Row], Callable[[Iterable[int], int], Iterator[Slab]]]:
-    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and slabs(parents, s) of them.
+) -> Tuple[Callable[[Tuple[int, ...]], Row], Callable[[Iterable[int], int], Iterator[Block]]]:
+    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and blocks(parents, s) of them.
 
     polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
     has column j*|box| + the mixed-radix index of t (first variable most
     significant).  Term m reaches cell g exactly when g_i < box_i - m_i for
-    every i, so terms never share a column.  slabs(parents, s) walks the
-    lifts g = s*d + r, r in [0, s)^n, of the parent cells d, given as cell
-    indices in cell order of the parent box; box_i = s * (parent side i).
-    It yields, for each value of the first exponent that holds lifts, up to
-    the largest box_1 - m_1, that slab's non-empty rows in cell order as
-    (index of the slab's first cell, in-slab offsets, rows); every in-box
-    term walks only the lifts it reaches.  Concatenated, the slabs give
-    index = first + offset and row(g) for every lift g with row(g).  When
-    every side is s, the parents [0] give the whole box.  box has at least
-    one side.
+    every i, so terms never share a column.
+
+    blocks(parents, s) walks the lifts g = s*d + r, r in [0, s)^n, of the
+    parent cells d, given as cell indices of the box with sides box_i / s;
+    the parents [0] of the all-1 box give the whole box.  It yields one
+    block at a time, as its non-empty rows (cell index, row(g)) in cell
+    order, built as they are read.  The degree of g is w*g, w the first row
+    of W = torus_grading of the in-box terms (0 if there is none), so the
+    cells of one degree are a union of W-blocks.  A parent of degree K lifts
+    into the degrees s*K + w*r, so the parents are grouped by degree, and
+    the degrees are walked in order, consecutive ones merged into one block
+    until it holds BLOCK_LIFTS lifts.  Each generator's sorted in-box terms
+    are split greedily into chains along which every coordinate is
+    monotone; the terms of a chain that reach g are then a slice of it, each
+    falling coordinate bounding it below and every other one above, read off
+    a table by the coordinate's value.  box has at least one side.
     """
     strides, size = [], 1
     for b in reversed(box):
         strides.insert(0, size)
         size *= b
-    mid = strides[1:-1]
-    terms = []
-    for j, f in enumerate(polys):
-        for m, c in f.items():
-            bounds = tuple(b - u for b, u in zip(box, m))
-            if all(b > 0 for b in bounds):
-                terms.append((bounds, j * size + sum(map(mul, m, strides)), c))
+    n = len(box)
+    gens = [
+        sorted((m, j * size + sum(map(mul, m, strides)), c) for m, c in f.items() if all(map(lt, m, box)))
+        for j, f in enumerate(polys)
+    ]
+    terms = [(tuple(map(sub, box, m)), off, c) for inbox in gens for m, off, c in inbox]
 
     def row(g: Tuple[int, ...]) -> Row:
         base = sum(map(mul, g, strides))
         return {off + base: c for bounds, off, c in terms if all(map(lt, g, bounds))}
 
-    def slabs(parents: Iterable[int], s: int) -> Iterator[Slab]:
-        # a term reaches, in each slab below its first bound, the cells of
-        # the middle heads it reaches whose last exponent is below its last bound
-        walk = []
-        for bounds, off, c in terms:
-            heads = {sum(map(mul, g, mid)) for g in product(*map(range, bounds[1:-1]))}
-            walk.append((bounds[0], off, c, heads, bounds[-1] if bounds[1:] else 1))
-        top = max((w[0] for w in walk), default=0)
-        width = s if box[1:] else 1
-        shifts = [sum(map(mul, r, mid)) for r in product(range(s), repeat=len(mid))]
-        pstrides = [t // s ** (len(box) - 1 - i) for i, t in enumerate(strides)]  # parent box
-        outer, inner = pstrides[0], pstrides[1:-1]
-        for d1, group in groupby(parents, lambda d: d // outer):
-            # parents sharing d_1 lift into the slabs s*d_1 + r_1: parent d, for
-            # each middle r, to the run of s cells from last exponent s*d_n on;
-            # walked maps each middle head to its runs' in-slab offsets, in order
-            walked: Dict[int, List[int]] = defaultdict(list)
-            for d in group:
-                rest, head = d - d1 * outer, 0
-                for ps, t in zip(inner, mid):
-                    u, rest = divmod(rest, ps)
-                    head += u * t
-                for r in shifts:
-                    h = s * head + r
-                    walked[h].extend(range(h + s * rest, h + s * rest + width))
-            for a in range(s * d1, min(s * d1 + s, top)):
-                slab: Dict[int, Row] = defaultdict(dict)
-                base = a * strides[0]
-                for b, off, c, heads, last in walk:
-                    if a < b:
-                        at = off + base
-                        for h, run in walked.items():
-                            if h in heads:
-                                for k in run[: bisect_left(run, h + last)]:
-                                    slab[k][at + k] = c
-                offsets = sorted(slab)
-                yield base, offsets, [slab[k] for k in offsets]
+    def blocks(parents: Iterable[int], s: int) -> Iterator[Block]:
+        W = torus_grading([[m for m, _, _ in inbox] for inbox in gens], n)
+        w = W[0] if W else [0] * n
+        runs = []  # per chain: its (column offset, coefficient) pairs, its lower and its upper bounds
+        for inbox in gens:
+            chains: List[Tuple[List[Tuple[int, int]], List[int], List[Tuple[int, ...]]]] = []
+            for m, off, c in inbox:
+                for pairs, sign, ms in chains:  # sign: +1 rising, -1 falling, 0 constant so far
+                    step = [(u > v) - (u < v) for u, v in zip(m, ms[-1])]
+                    if all(a * b >= 0 for a, b in zip(step, sign)):
+                        sign[:] = [a or b for a, b in zip(sign, step)]
+                        break
+                else:
+                    pairs, sign, ms = [], [0] * n, []
+                    chains.append((pairs, sign, ms))
+                pairs.append((off, c))
+                ms.append(m)
+            for pairs, sign, ms in chains:
+                cols = [sorted(m[i] for m in ms) for i in range(n)]
+                cuts = [[bisect_left(col, b - v) for v in range(b)] for col, b in zip(cols, box)]
+                # a bound is (stride, side, slice end by coordinate value)
+                falls = [(strides[i], box[i], [len(ms) - k for k in cuts[i]]) for i in range(n) if sign[i] < 0]
+                runs.append((pairs, falls, [(strides[i], box[i], cuts[i]) for i in range(n) if sign[i] >= 0]))
 
-    return row, slabs
+        def run(cells: List[int]) -> Block:
+            for g in cells:
+                vec: Row = {}
+                for pairs, falls, rises in runs:
+                    lo, hi = 0, len(pairs)
+                    for t, b, cut in falls:
+                        k = cut[g // t % b]
+                        if k > lo:
+                            lo = k
+                    for t, b, cut in rises:
+                        k = cut[g // t % b]
+                        if k < hi:
+                            hi = k
+                    for o, c in pairs[lo:hi]:
+                        vec[g + o] = c
+                if vec:
+                    yield g, vec
+
+        # the parents, each as the index of s*d, grouped by the degree of
+        # s*d; a parent whose lift s*d lies past every term's reach in some
+        # coordinate (so every lift does) is skipped
+        pstrides = [t // s ** (n - 1 - i) for i, t in enumerate(strides)]
+        low = [min((m[i] for inbox in gens for m, _, _ in inbox), default=b) for i, b in enumerate(box)]
+        limit = [-((u - b) // s) for u, b in zip(low, box)]  # ceil((box_i - low_i) / s)
+        order = []
+        for d in parents:
+            dv = []
+            for t in pstrides[:-1]:
+                u, d = divmod(d, t)
+                dv.append(u)
+            dv.append(d)
+            if all(map(lt, dv, limit)):
+                order.append((s * sum(map(mul, dv, w)), s * sum(map(mul, dv, strides))))
+        order.sort()
+        groups = [(key, [first for _, first in group]) for key, group in groupby(order, itemgetter(0))]
+        del order
+        shifts: Dict[int, List[int]] = {}
+        for r in product(range(s), repeat=n):
+            shifts.setdefault(sum(map(mul, r, w)), []).append(sum(map(mul, r, strides)))
+        cells: List[int] = []
+        last = None
+        for degree, j, k in sorted((key + k, j, k) for j, (key, _) in enumerate(groups) for k in shifts):
+            if degree != last and len(cells) >= BLOCK_LIFTS:
+                yield run(sorted(cells))
+                cells = []
+            last = degree
+            for off in shifts[k]:
+                cells += map(off.__add__, groups[j][1])
+        yield run(sorted(cells))
+
+    return row, blocks
 
 
 class Echelon:

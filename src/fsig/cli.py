@@ -537,6 +537,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as err:
         print(f"fsig: resource cap: {err}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("fsig: out of memory", file=sys.stderr)
+        return 3
 
     sys.stdout.write(emit_report(result, "json" if args.json else "table"))
     if result.report is not None and result.report.partial:

@@ -4,18 +4,23 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  Both eliminate with one
+basis route is the semantic reference.  Both eliminate with
 _linalg.Echelon.  The colon walks cells in term order, tags each row(g) of
 _linalg.box_rows with a label column and reads each reduced-basis element
-off the labels of a dependent row; the rank route takes the slabs, built
-term by term, and counts pivots.  It descends level by level, on one
+off the labels of a dependent row; the rank route takes the blocks of
+_linalg.box_rows and counts pivots.  It descends level by level, on one
 walk: the cells whose rows became pivots at level e - 1 are a monomial
 basis D_{e-1} of S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by
 one exact division for principal b_e and b_{e-1}) the rows of their lifts
 p*d + r, r in [0, p)^n, span the whole row space of level e, so it
-eliminates only those.  Every other level lifts D_0 = {0} by q: b_0 = S
-and I_0 = m, so b_e lies in b_0^[q] = S always, and as S is free over S^q
-on the x^r, r in [0, q)^n, the lifts of D_0 are the whole box.  When
+eliminates only those.  Every other level lifts every cell of the box of
+level e - 1 by p, the whole box: b_0 = S and I_0 = m, so b_e lies in
+b_0^[q] = S always, and S is free over S^q on the x^r, r in [0, q)^n.
+When every generator of b_e is homogeneous for a torus grading W, the
+matrix is block diagonal in W*g (see _linalg), so the walk eliminates one
+block at a time, in cell order, in an Echelon of its own that is dropped
+once passed: the pivots held are one block's, not the rank's, and D_e is
+the pivot set of one echelon over the same cells in cell order.  When
 every generator of b_e is a monomial, no two cells share a column, so the
 rank is the number of cells with a non-empty row: the union of the boxes
 below q - m_j, which groebner.staircase_count counts without building a
@@ -111,7 +116,7 @@ def _descends(sys: FGradedSystem, e: int) -> bool:
     Then I_{e-1}^[p] lies in I_e: g*b_{e-1} in m^[q/p] gives g^p*b_e in
     m^[q].  One exact division of b_e's generator by the p-th power of
     b_{e-1}'s decides it.  Level 1 never descends: its whole box is already
-    the lift of D_0 = {0}.
+    the lift of D_0 = {0} by p.
     """
     if e < 2:
         return False
@@ -132,24 +137,26 @@ def _pivot_cells(sys: FGradedSystem, e: int) -> array:
     I_e, so D_e is a monomial basis of S/I_e and a_e = |D_e|.  When
     _descends(sys, e), S/I_e is spanned by the lifts p*d + r, r in [0, p)^n,
     of D_{e-1} (S is free over S^p on the x^r), and level e eliminates only
-    their rows; otherwise it eliminates the rows of the lifts of D_0 = {0}
-    by q, the whole box (b_e lies in b_0^[q] = S).  The cells are indices of
-    the box [0, q)^n, in cell order, 4 bytes each while they fit.  Only level
-    e + 1 reads D_e, so the memo drops D_{e-1} once D_e is built.
+    their rows; otherwise it lifts every cell of the box [0, q/p)^n by p,
+    which is the whole box (b_e lies in b_0^[q] = S), one torus block at a
+    time.  The cells are indices of the box [0, q)^n, re-sorted into cell
+    order, 4 bytes each while they fit.  Only level e + 1 reads D_e, so the
+    memo drops D_{e-1} once D_e is built.
     """
     got = sys.pivot_cells.get(e)
     if got is None:
         ring, p = sys.ring, sys.ring.p
         q = p**e
-        parents, s = (_pivot_cells(sys, e - 1), p) if _descends(sys, e) else ((0,), q)
+        parents = _pivot_cells(sys, e - 1) if _descends(sys, e) else range((q // p) ** ring.nvars)
         polys = [f.terms for f in sys.b_of(e).generators]
-        _, slabs = _linalg.box_rows([q] * ring.nvars, polys)
-        ech = _linalg.Echelon(p)
+        _, blocks = _linalg.box_rows([q] * ring.nvars, polys)
         got = array("I" if q**ring.nvars <= 2**32 else "Q")
-        for first, offsets, rows in slabs(parents, s):
-            for k, vec in zip(offsets, rows):
+        for block in blocks(parents, p):
+            ech = _linalg.Echelon(p)
+            for cell, vec in block:
                 if ech.insert(vec):
-                    got.append(first + k)
+                    got.append(cell)
+        got = array(got.typecode, sorted(got))
         sys.pivot_cells.pop(e - 1, None)
         sys.pivot_cells[e] = got
     return got
@@ -263,8 +270,8 @@ def signature_sequence(
 ) -> SplittingReport:
     """Rows (e, a_e, a_e/p^{ed}) for e = 1..emax with a geometric-tail estimate.
 
-    on_cap="partial" turns a resource cap into a truncated report marked
-    partial instead of an exception.
+    on_cap="partial" turns a resource cap, or a level that runs out of
+    memory, into a truncated report marked partial instead of an exception.
     """
     if emax < 1:
         raise ValueError("signature_sequence needs emax >= 1")
@@ -278,11 +285,14 @@ def signature_sequence(
     for e in range(1, emax + 1):
         try:
             a_e = splitting_number(sys, e, method=method)
-        except ResourceLimitError as err:
+        except (ResourceLimitError, MemoryError) as err:
             if on_cap != "partial":
                 raise
             partial = True
-            notes.append(f"resource cap at e={e}: {err}; largest completed e={e - 1}")
+            cause = f"resource cap at e={e}: {err}"
+            if isinstance(err, MemoryError):
+                cause = f"out of memory at e={e}"
+            notes.append(f"{cause}; largest completed e={e - 1}")
             break
         rows.append(Row(e, a_e, Fraction(a_e, p ** (e * d))))
     gamma = tuple(r.e for r in rows if r.a_e)

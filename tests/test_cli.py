@@ -330,6 +330,35 @@ def test_partial_report_marked_in_json(monkeypatch):
     assert "partial = true" in text
 
 
+def test_main_exits_3_when_a_level_runs_out_of_memory(tmp_path, capsys, monkeypatch):
+    # a level that raises MemoryError gives the partial report and exit 3, not
+    # a traceback; one raised outside the sequence exits 3 with a message
+    from fsig import cli
+    from fsig import signature as sig
+
+    original = sig.splitting_number
+
+    def starved(sys_obj, e, method="both"):
+        if e >= 2:
+            raise MemoryError
+        return original(sys_obj, e, method)
+
+    path = tmp_path / "snc.fsig"
+    path.write_text(SNC)
+    monkeypatch.setattr(sig, "splitting_number", starved)
+    assert main([str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "partial = true" in out
+    assert "out of memory at e=2; largest completed e=1" in out
+
+    def exhausted(problem):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    assert main([str(path)]) == 3
+    assert capsys.readouterr().err == "fsig: out of memory\n"
+
+
 def test_fpure_mode_message(tmp_path, capsys):
     path = tmp_path / "w2.fsig"
     path.write_text(

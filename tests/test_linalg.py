@@ -1,11 +1,13 @@
 import itertools
-import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from _oracles import dense_rank_modp
-from fsig._linalg import Echelon, box_rows
+from fsig import _linalg
+from fsig._linalg import Echelon, box_rows, torus_grading
 
 
 def vector_from_items(p, items):
@@ -132,23 +134,37 @@ def test_box_rows_match_brute_force_randomized():
             assert all(got.values())
 
 
-def _check_slabs(box, row, got, walked):
-    """The slabs hold the index and row of each walked cell with a non-empty
-    row, in cell order, and each slab the cells of one first exponent."""
-    index = {g: k for k, g in enumerate(itertools.product(*(range(b) for b in box)))}
-    expected = [(index[g], row(g)) for g in walked if row(g)]
-    pairs = [(first + k, r) for first, offsets, rows in got for k, r in zip(offsets, rows)]
-    assert pairs == expected, (box, walked)
-    per_slab = math.prod(box[1:])
-    assert all(first % per_slab == 0 and max(offsets, default=0) < per_slab for first, offsets, _ in got)
+def _check_blocks(box, row, polys, got, walked, single):
+    """The blocks hold the index and row of each walked cell with a non-empty
+    row, each block in cell order; no column is shared by two blocks; a
+    block is the cells of consecutive degrees under the first row of the
+    grading of the in-box terms, taken by increasing degree, and of one
+    degree when single."""
+    cells = list(itertools.product(*(range(b) for b in box)))
+    index = {g: k for k, g in enumerate(cells)}
+    expected = sorted((index[g], row(g)) for g in walked if row(g))
+    pairs = [(k, r) for block in got for k, r in block]
+    assert sorted(pairs, key=lambda t: t[0]) == expected, (box, walked)
+    assert all([k for k, _ in block] == sorted(k for k, _ in block) for block in got)
+    columns = [set().union(*(r for _, r in block)) for block in got]
+    assert sum(map(len, columns)) == len(set().union(*columns)), (box, polys)
+    inbox = [[m for m in f if all(u < b for u, b in zip(m, box))] for f in polys]
+    W = torus_grading(inbox, len(box))
+    w = W[0] if W else [0] * len(box)
+    degrees = [sorted({sum(a * b for a, b in zip(w, cells[k])) for k, _ in block}) for block in got if block]
+    assert all(a[-1] < b[0] for a, b in zip(degrees, degrees[1:])), (box, polys)
+    assert not single or all(len(d) == 1 for d in degrees), (box, polys)
 
 
-def test_box_slabs_match_rows_randomized():
+def test_box_slabs_match_rows_randomized(monkeypatch):
     # the walk of the lifts s*d + r, r in [0, s)^n, of random parent cells d
-    # of the box with sides box_i / s (s = 1 walks the parents themselves);
-    # every third draw lifts the one cell of the all-1 box: the whole box
+    # of the box with sides box_i / s (s = 1 walks the parents themselves),
+    # block by block, with the default merging of degrees (one block at this
+    # size) and with one block per degree; every third draw lifts the one
+    # cell of the all-1 box: the whole box
     rng = random.Random(4343)
     whole_shapes = set()
+    shapes = [0, 0, 0]  # draws with no row, one block with rows, several
     for draw in range(450):
         n = rng.randint(1, 3)
         whole = draw % 3 == 0
@@ -166,14 +182,77 @@ def test_box_slabs_match_rows_randomized():
             for k in chosen
             for r in itertools.product(range(s), repeat=n)
         )
-        row, slabs = box_rows(box, polys)
-        got = list(slabs(chosen, s))
-        _check_slabs(box, row, got, walked)
+        row, blocks = box_rows(box, polys)
+        _check_blocks(box, row, polys, [list(block) for block in blocks(chosen, s)], walked, False)
+        monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
+        got = [list(block) for block in blocks(chosen, s)]
+        monkeypatch.undo()
+        _check_blocks(box, row, polys, got, walked, True)
+        shapes[min(sum(1 for block in got if block), 2)] += 1
         if whole:
             cells = list(itertools.product(*(range(b) for b in box)))
             assert walked == cells
-            # slab a holds exactly the non-empty rows of the cells with first exponent a
-            assert [rows for _, _, rows in got] == [
-                [row(g) for g in cells if g[0] == a and row(g)] for a in range(len(got))
+            assert sorted(k for block in got for k, _ in block) == [
+                k for k, g in enumerate(cells) if row(g)
             ]
     assert whole_shapes == {(n, s) for n in (1, 2, 3) for s in (1, 2, 3, 4)}
+    assert min(shapes) >= 50, shapes
+
+
+def _rank_q(rows):
+    """Rank over the rationals, by exact elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_torus_grading_is_the_kernel_of_the_term_differences_randomized():
+    # W is orthogonal to every difference of two exponents of one group, and
+    # spans the whole kernel: rank W = n - rank(differences)
+    rng = random.Random(5151)
+    ranks = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:  # homogeneous for a random weight: terms of one degree
+                w = [rng.randint(1, 3) for _ in range(n)]
+                pool = [m for m in itertools.product(range(5), repeat=n) if sum(map(operator.mul, w, m)) == 6]
+                groups.append(rng.sample(pool, min(len(pool), rng.randint(1, 4))))
+            else:
+                groups.append([tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))])
+        W = torus_grading(groups, n)
+        diffs = [[a - b for a, b in zip(m, ms[0])] for ms in groups for m in ms]
+        assert all(sum(map(operator.mul, v, d)) == 0 for v in W for d in diffs), (groups, W)
+        assert len(W) == _rank_q(W) == n - _rank_q(diffs), (groups, W)
+        assert all(isinstance(x, int) for v in W for x in v)
+        ranks.add(len(W))
+    assert {0, 1, 2} <= ranks
+
+
+def test_ungraded_generator_walks_one_block():
+    # x^2 + y^3 + x*y: the differences (2, -3) and (1, -2) have rank 2, so no
+    # grading; the whole box is then a single block in cell order
+    poly = {(2, 0): 1, (0, 3): 1, (1, 1): 2}
+    assert torus_grading([list(poly)], 2) == []
+    row, blocks = box_rows([9, 9], [poly])
+    got = [list(block) for block in blocks(range(9), 3)]
+    assert len(got) == 1
+    cells = list(itertools.product(range(9), repeat=2))
+    assert got[0] == [(k, row(g)) for k, g in enumerate(cells) if row(g)]
+    # a binomial is graded: its blocks are the diagonals 2a + 3b = const
+    # (weights orthogonal to (3, -2)), merged until a block holds
+    # BLOCK_LIFTS lifts
+    assert torus_grading([[(3, 0), (0, 2)]], 2) == [(2, 3)]
+    _, blocks = box_rows([81, 81], [{(3, 0): 1, (0, 2): 2}])
+    sizes = [len(list(b)) for b in blocks(range(27 * 27), 3)]
+    assert len(sizes) > 1 and all(k >= _linalg.BLOCK_LIFTS for k in sizes[:-1])

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from _oracles import box_multiplication_rank, union_of_boxes_count
-from fsig._linalg import Echelon, box_rows
+from fsig import _linalg
+from fsig._linalg import Echelon, box_rows, torus_grading
 from fsig.groebner import Ideal, ideal_membership
 from fsig.ideals import bracket_power, colon, ideal_equals
 from fsig.poly import PolyRing, Polynomial
@@ -343,6 +345,27 @@ def test_sequence_partial_on_cap(monkeypatch):
         sig.signature_sequence(wh, 3, on_cap="raise")
 
 
+def test_sequence_partial_on_memory_error(monkeypatch):
+    # a level that runs out of memory ends the sequence like a resource cap
+    from fsig import signature as sig
+
+    _, wh = whitney()
+    original = sig.splitting_number
+
+    def starved(sys_obj, e, method="both"):
+        if e >= 2:
+            raise MemoryError
+        return original(sys_obj, e, method)
+
+    monkeypatch.setattr(sig, "splitting_number", starved)
+    rep = sig.signature_sequence(wh, 3, on_cap="partial")
+    assert rep.partial
+    assert [r.e for r in rep.rows] == [1]
+    assert rep.notes == ("out of memory at e=2; largest completed e=1",)
+    with pytest.raises(MemoryError):
+        sig.signature_sequence(wh, 3, on_cap="raise")
+
+
 def _pair(R, text, t):
     return PairSystem(R, Ideal(R, [R.parse(text)]), Fraction(t))
 
@@ -439,13 +462,51 @@ def test_descent_certificate_gives_the_frobenius_facts(system, uncertified):
         assert (p**n * a[1], a[2]) == (27, 45)
 
 
-def test_descended_rank_matches_dense_rank_randomized():
+def _check_blocked_level(sys_, e, parents, expected):
+    """Level e of the rank route, just computed from the parent cells of level
+    e - 1 (None for the whole box): |D_e| = a_e; D_e is the pivot set of one
+    echelon over the same lifts in cell order; W is orthogonal to every term
+    difference within a generator of b_e; the per-block ranks of the whole
+    box sum to the dense rank.  Returns whether the in-box terms have a
+    grading and how many blocks have a pivot."""
+    R = sys_.ring
+    n, p, q = R.nvars, R.p, R.p**e
+    got = sys_.pivot_cells[e]
+    assert len(got) == expected
+    gens = [g.terms for g in sys_.b_of(e).generators]
+    row, blocks = box_rows([q] * n, gens)
+    cells = list(itertools.product(range(q), repeat=n))
+    if parents is not None:
+        pcells = list(itertools.product(range(q // p), repeat=n))
+        lifted = {tuple(p * u + v for u, v in zip(pcells[d], r))
+                  for d in parents for r in itertools.product(range(p), repeat=n)}
+        cells = sorted(lifted)
+    ech, pivots = Echelon(p), []
+    for g in cells:
+        if ech.insert(row(g)):
+            pivots.append(sum(u * q ** (n - 1 - i) for i, u in enumerate(g)))
+    assert list(got) == pivots
+    W = torus_grading([list(f) for f in gens], n)
+    assert all(sum(a * (u - v) for a, u, v in zip(w, m, next(iter(f)))) == 0 for w in W for f in gens for m in f)
+    ranks = []
+    for block in blocks(range((q // p) ** n), p):
+        ech = Echelon(p)
+        ranks.append(sum(ech.insert(vec) for _, vec in block))
+    assert sum(ranks) == expected
+    inbox = [[m for m in f if max(m) < q] for f in gens]
+    return torus_grading(inbox, n) != [], sum(1 for r in ranks if r)
+
+
+def test_descended_rank_matches_dense_rank_randomized(monkeypatch):
     # random principal quotients (f^q : f) = (f^(q-1)) and pairs (f)^N(e):
     # the rank route, descending wherever the certificate holds, against a
-    # dense rank over every cell of the box
+    # dense rank over every cell of the box, and each level's blocks, one
+    # block per degree
+    monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
     rng = random.Random(7272)
     shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
     walks = [0, 0]  # levels above 1 lifting D_0 = {0} by q (the whole box), and by p
+    graded = [0, 0]  # levels with no grading (one block) and with one
     for _ in range(20):
         p, n, emax = rng.choice(shapes)
         R = PolyRing.make(p, ["x", "y", "z"][:n])
@@ -462,10 +523,83 @@ def test_descended_rank_matches_dense_rank_randomized():
         for e in range(1, emax + 1):
             gens = [g.terms for g in sys_.b_of(e).generators]
             expected = box_multiplication_rank(gens, n, p, p**e)
+            parents = list(sys_.pivot_cells[e - 1]) if e > 1 and _descends(sys_, e) else None
             assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
+            if len(gens) > 1 or len(gens[0]) > 1:
+                has_grading, nonempty = _check_blocked_level(sys_, e, parents, expected)
+                graded[has_grading] += 1
+                assert has_grading or nonempty <= 1, (sys_, e)
             if e > 1:
                 walks[_descends(sys_, e)] += 1
     assert min(walks) >= 3, walks  # both the descent and, with no certificate, the whole box
+    assert graded[1] >= 3, graded
+
+
+def _homogeneous(rng, R, w, degree):
+    """A random polynomial of 2-4 terms of one w-degree (None if fewer than 2 exist)."""
+    pool = [m for m in itertools.product(range(degree + 1), repeat=R.nvars)
+            if sum(a * u for a, u in zip(w, m)) == degree]
+    if len(pool) < 2:
+        return None
+    return Polynomial(R, {m: rng.randint(1, R.p - 1) for m in rng.sample(pool, min(len(pool), rng.randint(2, 4)))})
+
+
+def test_blocked_rank_matches_dense_rank_on_graded_systems_randomized(monkeypatch):
+    # W-homogeneous principal quotients, pairs of one or two generators, and
+    # products of pairs, in 2-3 variables over p in {2, 3, 5}, every kind and
+    # every shape in 12 draws: every level's blocked rank against the
+    # dense rank, with the block checks above; in every other draw one term
+    # of another degree may leave b_e with no grading (one block); one block
+    # per degree
+    monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
+    rng = random.Random(7373)
+    shapes = [(2, 2, 4), (2, 3, 2), (3, 2, 2), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
+    kinds = ["quotient", "pair", "pair2", "product"]
+    graded, several = [0, 0], 0
+    for draw in range(12):
+        (p, n, emax), kind = shapes[draw % 5], kinds[draw % 4]
+        R = PolyRing.make(p, ["x", "y", "z"][:n])
+        polys = None
+        while polys is None or None in polys:
+            w = [rng.randint(1, 3) for _ in range(n)]
+            polys = [_homogeneous(rng, R, w, rng.randint(2, 4)) for _ in range(2)]
+        if draw % 2:
+            polys[0] = polys[0] + R.monomial(tuple(rng.randint(0, 2) for _ in range(n)))
+        t = Fraction(1, rng.randint(1, 4))
+        if kind == "quotient":
+            sys_ = QuotientSystem(R, Ideal(R, polys[:1]))
+        elif kind == "pair":
+            sys_ = PairSystem(R, Ideal(R, polys[:1]), t)
+        elif kind == "pair2":
+            sys_ = PairSystem(R, Ideal(R, polys), t)
+        else:
+            sys_ = ProductSystem(R, [PairSystem(R, Ideal(R, [g]), t) for g in polys])
+        for e in range(1, emax + 1):
+            gens = [g.terms for g in sys_.b_of(e).generators]
+            expected = box_multiplication_rank(gens, n, p, p**e)
+            parents = list(sys_.pivot_cells[e - 1]) if e > 1 and _descends(sys_, e) else None
+            assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
+            if len(gens) > 1 or len(gens[0]) > 1:
+                has_grading, nonempty = _check_blocked_level(sys_, e, parents, expected)
+                assert has_grading or nonempty <= 1, (sys_, e)
+                assert has_grading or draw % 2, (sys_, e)
+                graded[has_grading] += 1
+                several += nonempty > 1
+    assert min(graded) >= 3 and several >= 10, (graded, several)
+
+
+def test_rank_route_memory_canary():
+    # the pivots held are one torus block's, not the rank's: levels 1..5 of
+    # the cusp pair at p = 3 (a_5 = 9963) stay under 2 MiB of traced
+    # allocations (0.65 MiB; one echelon over the whole walk held 6.7 MiB)
+    sys_ = _cusp(3)
+    tracemalloc.start()
+    try:
+        assert splitting_number(sys_, 5, method="linear") == 9963
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize(
