@@ -1,8 +1,8 @@
 """The box matrix of both a_e routes, and incremental row echelon over F_p.
 
 box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
-columns and which cells have a row.  It reads the matrix two ways: row(g)
-for one cell (the colon's term-order walk) and blocks(parents, s), the rank
+columns and which cells have a row.  Its one row builder serves row(g) for
+one cell (the colon's term-order walk) and blocks(parents, s), the rank
 route's walk of the lifts s*d + r, r in [0, s)^n, of a set of parent cells
 d.  The rank route's descent lifts the previous level's pivot cells by p; a
 level with no descent lifts every cell of the previous level's box by p,
@@ -70,7 +70,12 @@ def box_rows(
     polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
     has column j*|box| + the mixed-radix index of t (first variable most
     significant).  Term m reaches cell g exactly when g_i < box_i - m_i for
-    every i, so terms never share a column.
+    every i, so terms never share a column.  Each generator's sorted in-box
+    terms are split greedily, once, into chains along which every coordinate
+    is monotone; the terms of a chain that reach a cell are then a slice of
+    it, each falling coordinate bounding it below and every other one above,
+    read off a table by the coordinate's value.  Every row, row(g) and the
+    rows of blocks, is built from these slices; row(g) is {} off the box.
 
     blocks(parents, s) walks the lifts g = s*d + r, r in [0, s)^n, of the
     parent cells d, given as cell indices of the box with sides box_i / s;
@@ -81,11 +86,7 @@ def box_rows(
     cells of one degree are a union of W-blocks.  A parent of degree K lifts
     into the degrees s*K + w*r, so the parents are grouped by degree, and
     the degrees are walked in order, consecutive ones merged into one block
-    until it holds BLOCK_LIFTS lifts.  Each generator's sorted in-box terms
-    are split greedily into chains along which every coordinate is
-    monotone; the terms of a chain that reach g are then a slice of it, each
-    falling coordinate bounding it below and every other one above, read off
-    a table by the coordinate's value.  box has at least one side.
+    until it holds BLOCK_LIFTS lifts.  box has at least one side.
     """
     strides, size = [], 1
     for b in reversed(box):
@@ -96,53 +97,50 @@ def box_rows(
         sorted((m, j * size + sum(map(mul, m, strides)), c) for m, c in f.items() if all(map(lt, m, box)))
         for j, f in enumerate(polys)
     ]
-    terms = [(tuple(map(sub, box, m)), off, c) for inbox in gens for m, off, c in inbox]
+    runs = []  # per chain: its terms (exponents, column offset, coefficient), its lower and its upper bounds
+    for inbox in gens:
+        chains: List[Tuple[List[int], List[Tuple[Tuple[int, ...], int, int]]]] = []  # (sign, terms)
+        for term in inbox:
+            for sign, chain in chains:  # sign: +1 rising, -1 falling, 0 constant so far
+                step = [(u > v) - (u < v) for u, v in zip(term[0], chain[-1][0])]
+                if all(a * b >= 0 for a, b in zip(step, sign)):
+                    sign[:] = [a or b for a, b in zip(sign, step)]
+                    chain.append(term)
+                    break
+            else:
+                chains.append(([0] * n, [term]))
+        for sign, chain in chains:
+            cols = [sorted(col) for col in zip(*(m for m, _, _ in chain))]
+            cuts = [[bisect_left(col, b - v) for v in range(b)] for col, b in zip(cols, box)]
+            # a bound is (stride, side, slice end by coordinate value)
+            falls = [(strides[i], box[i], [len(chain) - k for k in cuts[i]]) for i in range(n) if sign[i] < 0]
+            runs.append((chain, falls, [(strides[i], box[i], cuts[i]) for i in range(n) if sign[i] >= 0]))
+
+    def row_at(g: int) -> Row:
+        vec: Row = {}
+        for chain, falls, rises in runs:
+            lo, hi = 0, len(chain)
+            for t, b, cut in falls:
+                k = cut[g // t % b]
+                if k > lo:
+                    lo = k
+            for t, b, cut in rises:
+                k = cut[g // t % b]
+                if k < hi:
+                    hi = k
+            for _, o, c in chain[lo:hi]:
+                vec[g + o] = c
+        return vec
 
     def row(g: Tuple[int, ...]) -> Row:
-        base = sum(map(mul, g, strides))
-        return {off + base: c for bounds, off, c in terms if all(map(lt, g, bounds))}
+        return row_at(sum(map(mul, g, strides))) if all(map(lt, g, box)) else {}
 
     def blocks(parents: Iterable[int], s: int) -> Iterator[Block]:
         W = torus_grading([[m for m, _, _ in inbox] for inbox in gens], n)
         w = W[0] if W else [0] * n
-        runs = []  # per chain: its (column offset, coefficient) pairs, its lower and its upper bounds
-        for inbox in gens:
-            chains: List[Tuple[List[Tuple[int, int]], List[int], List[Tuple[int, ...]]]] = []
-            for m, off, c in inbox:
-                for pairs, sign, ms in chains:  # sign: +1 rising, -1 falling, 0 constant so far
-                    step = [(u > v) - (u < v) for u, v in zip(m, ms[-1])]
-                    if all(a * b >= 0 for a, b in zip(step, sign)):
-                        sign[:] = [a or b for a, b in zip(sign, step)]
-                        break
-                else:
-                    pairs, sign, ms = [], [0] * n, []
-                    chains.append((pairs, sign, ms))
-                pairs.append((off, c))
-                ms.append(m)
-            for pairs, sign, ms in chains:
-                cols = [sorted(m[i] for m in ms) for i in range(n)]
-                cuts = [[bisect_left(col, b - v) for v in range(b)] for col, b in zip(cols, box)]
-                # a bound is (stride, side, slice end by coordinate value)
-                falls = [(strides[i], box[i], [len(ms) - k for k in cuts[i]]) for i in range(n) if sign[i] < 0]
-                runs.append((pairs, falls, [(strides[i], box[i], cuts[i]) for i in range(n) if sign[i] >= 0]))
 
-        def run(cells: List[int]) -> Block:
-            for g in cells:
-                vec: Row = {}
-                for pairs, falls, rises in runs:
-                    lo, hi = 0, len(pairs)
-                    for t, b, cut in falls:
-                        k = cut[g // t % b]
-                        if k > lo:
-                            lo = k
-                    for t, b, cut in rises:
-                        k = cut[g // t % b]
-                        if k < hi:
-                            hi = k
-                    for o, c in pairs[lo:hi]:
-                        vec[g + o] = c
-                if vec:
-                    yield g, vec
+        def run(cells: List[int]) -> Block:  # the non-empty rows of cells, in their order
+            return filter(itemgetter(1), zip(cells, map(row_at, cells)))
 
         # the parents, each as the index of s*d, grouped by the degree of
         # s*d; a parent whose lift s*d lies past every term's reach in some

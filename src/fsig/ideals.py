@@ -5,8 +5,8 @@ Colon ideals drive everything downstream, so they get several routes:
 * both sides monomial        -> combinatorial colon/intersection
 * principal by principal     -> one exact division when the divisor divides
 * box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
-  standard monomials on _linalg.box_rows, yielding the reduced Groebner basis
-  directly; covers m^[q] and the unit ideal
+  standard monomials, on the rank route's rows (_linalg.box_rows), yielding
+  the reduced Groebner basis directly; covers m^[q] and the unit ideal
 * anything else              -> auxiliary-variable elimination (the reference
   path; tests call _colon_elimination directly to cross-check the others)
 """
@@ -237,13 +237,13 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     """(I : J) for the box ideal I = <x_i^{box_i}> by linear elimination.
 
     Walks candidate monomials in increasing term order.  The row of the k-th
-    candidate m (m*f_j mod I stacked over j, from _linalg.box_rows) carries
-    label column ~k.  When it depends linearly on the rows of the smaller standard
-    monomials, the echelon leaves exactly its labels: the reduced-basis
-    element m - sum(c_b * b), monic and led by m.  Terminates because I is
-    zero-dimensional, and the emitted elements form the reduced basis of the
-    colon because their tails only involve its standard monomials (the only
-    labels pivots hold).
+    candidate m (m*f_j mod I stacked over j: row(m) of _linalg.box_rows, {}
+    past the box) carries label column ~k.  When it depends linearly on the
+    rows of the smaller standard monomials, the echelon leaves exactly its
+    labels: the reduced-basis element m - sum(c_b * b), monic and led by m.
+    Terminates because I is zero-dimensional, and the emitted elements form
+    the reduced basis of the colon because their tails only involve its
+    standard monomials (the only labels pivots hold).
     """
     ring = I.ring
     order = ring.order

@@ -4,11 +4,11 @@ Level counts a_e are computed by two routes that must agree: the basis route
 (length of the quotient by the splitting ideal, via standard monomials) and
 the rank route (rank over F_p of the stacked multiplication-by-generators map
 on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  Both eliminate with
-_linalg.Echelon.  The colon walks cells in term order, tags each row(g) of
-_linalg.box_rows with a label column and reads each reduced-basis element
-off the labels of a dependent row; the rank route takes the blocks of
-_linalg.box_rows and counts pivots.  It descends level by level, on one
+basis route is the semantic reference.  Both read the rows of the one
+builder _linalg.box_rows and eliminate with _linalg.Echelon.  The colon
+walks cells in term order, tags each row(g) with a label column and reads
+each reduced-basis element off the labels of a dependent row; the rank
+route counts the pivots of its blocks.  It descends level by level, on one
 walk: the cells whose rows became pivots at level e - 1 are a monomial
 basis D_{e-1} of S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by
 one exact division for principal b_e and b_{e-1}) the rows of their lifts
@@ -25,11 +25,11 @@ every generator of b_e is a monomial, no two cells share a column, so the
 rank is the number of cells with a non-empty row: the union of the boxes
 below q - m_j, which groebner.staircase_count counts without building a
 row, as it counts the standard monomials for quotient_length.  So
-method="both" checks the row builders, the walks and the read-outs
-(reduced basis from label columns and staircase count vs pivot count or
-box-union count), but not the shared echelon.  That is checked in tests
-only: tests/test_linalg.py against a brute-force box and tests/_oracles.py
-(dense elimination, Macaulay membership, brute-force standard-monomial and
+method="both" checks the walks and the read-outs (reduced basis from label
+columns and staircase count vs pivot count or box-union count), but not
+the shared row builder or the shared echelon.  Those are checked in tests
+only, against the brute-force oracles of tests/_oracles.py (box rows,
+dense elimination, Macaulay membership, brute-force standard-monomial and
 union-of-boxes counts).  Each system memoizes its I_e, which the basis route
 and the prime candidate both read, and the rank route's newest D_e, which
 the basis route never reads.

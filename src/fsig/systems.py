@@ -134,7 +134,9 @@ def make_system(spec, ring: PolyRing, ceiling: str = "pminusone") -> FGradedSyst
     Fraction) or ("product", [node, ...]).
     """
     kind = spec[0]
-    if kind == "quotient":
+    if kind == "quotient":  # s_e is taken at the origin, where S/J is 0 unless J lies in m
+        if any(not any(m) for f in spec[1] for m in f.terms):
+            raise ValueError("quotient system needs generators with no constant term")
         return QuotientSystem(ring, Ideal(ring, spec[1]))
     if kind == "pair":
         return PairSystem(ring, Ideal(ring, spec[1]), spec[2], ceiling)

@@ -135,6 +135,23 @@ def box_multiplication_rank(
     return dense_rank_modp(rows, p)
 
 
+def box_row(box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]], g: Tuple[int, ...]) -> Dict[int, int]:
+    """x^g * f_j mod <x_i^{box_i}> stacked over j, by enumerating the box.
+
+    Column j*|box| + k is the k-th cell of the box in itertools.product
+    order; g may lie outside the box.
+    """
+    cells = list(itertools.product(*(range(b) for b in box)))
+    position = {t: k for k, t in enumerate(cells)}
+    row = {}
+    for j, terms in enumerate(polys):
+        for m, c in terms.items():
+            t = tuple(a + b for a, b in zip(g, m))
+            if t in position:
+                row[j * len(cells) + position[t]] = c
+    return row
+
+
 def _monomials_up_to(nvars: int, deg: int) -> List[Tuple[int, ...]]:
     out = []
     for exps in itertools.product(range(deg + 1), repeat=nvars):

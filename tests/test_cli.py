@@ -199,7 +199,7 @@ def test_main_rejects_nonpositive_emax_flag(tmp_path, capsys):
     assert "line 0" not in captured.err
 
 
-@pytest.mark.parametrize("ideal", ["1", "x, 1 + x"])
+@pytest.mark.parametrize("ideal", ["1", "x, 1 + x", "1 + x"])
 def test_main_rejects_quotient_by_unit_ideal(tmp_path, capsys, ideal):
     text = "p = 3\nvars = x, y\nmode = signature\nemax = 2\nsystem = quotient {{ J = [ {} ] }}\n"
     with pytest.raises(ProblemError) as zero:  # where the other system errors point
@@ -210,7 +210,7 @@ def test_main_rejects_quotient_by_unit_ideal(tmp_path, capsys, ideal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"fsig: line {zero.value.line}, col {zero.value.column}: quotient system needs a proper ideal\n"
+        f"fsig: line {zero.value.line}, col {zero.value.column}: quotient system needs generators with no constant term\n"
     )
     assert zero.value.line == 5
     assert "Traceback" not in captured.err

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import dense_rank_modp
+from _oracles import box_row, dense_rank_modp
 from fsig import _linalg
 from fsig._linalg import Echelon, box_rows, torus_grading
 
@@ -118,23 +118,16 @@ def test_box_rows_match_brute_force_randomized():
     rng = random.Random(4242)
     for _ in range(200):
         box, polys = _random_box_problem(rng)
-        cells = list(itertools.product(*(range(b) for b in box)))
-        position = {t: k for k, t in enumerate(cells)}  # enumeration order = column order
         row, _ = box_rows(box, polys)
         # every cell of the box and every cell up to one step outside it
         for g in itertools.product(*(range(b + 2) for b in box)):
-            expected = {}
-            for j, terms in enumerate(polys):
-                for m, c in terms.items():
-                    t = tuple(a + b for a, b in zip(g, m))
-                    if t in position:
-                        expected[j * len(cells) + position[t]] = c
+            expected = box_row(box, polys, g)
             got = row(g)
             assert got == expected, (box, polys, g)
             assert all(got.values())
 
 
-def _check_blocks(box, row, polys, got, walked, single):
+def _check_blocks(box, polys, got, walked, single):
     """The blocks hold the index and row of each walked cell with a non-empty
     row, each block in cell order; no column is shared by two blocks; a
     block is the cells of consecutive degrees under the first row of the
@@ -142,7 +135,8 @@ def _check_blocks(box, row, polys, got, walked, single):
     degree when single."""
     cells = list(itertools.product(*(range(b) for b in box)))
     index = {g: k for k, g in enumerate(cells)}
-    expected = sorted((index[g], row(g)) for g in walked if row(g))
+    rows = {g: box_row(box, polys, g) for g in walked}
+    expected = sorted((index[g], rows[g]) for g in walked if rows[g])
     pairs = [(k, r) for block in got for k, r in block]
     assert sorted(pairs, key=lambda t: t[0]) == expected, (box, walked)
     assert all([k for k, _ in block] == sorted(k for k, _ in block) for block in got)
@@ -182,18 +176,18 @@ def test_box_slabs_match_rows_randomized(monkeypatch):
             for k in chosen
             for r in itertools.product(range(s), repeat=n)
         )
-        row, blocks = box_rows(box, polys)
-        _check_blocks(box, row, polys, [list(block) for block in blocks(chosen, s)], walked, False)
+        _, blocks = box_rows(box, polys)
+        _check_blocks(box, polys, [list(block) for block in blocks(chosen, s)], walked, False)
         monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
         got = [list(block) for block in blocks(chosen, s)]
         monkeypatch.undo()
-        _check_blocks(box, row, polys, got, walked, True)
+        _check_blocks(box, polys, got, walked, True)
         shapes[min(sum(1 for block in got if block), 2)] += 1
         if whole:
             cells = list(itertools.product(*(range(b) for b in box)))
             assert walked == cells
             assert sorted(k for block in got for k, _ in block) == [
-                k for k, g in enumerate(cells) if row(g)
+                k for k, g in enumerate(cells) if box_row(box, polys, g)
             ]
     assert whole_shapes == {(n, s) for n in (1, 2, 3) for s in (1, 2, 3, 4)}
     assert min(shapes) >= 50, shapes
@@ -244,11 +238,11 @@ def test_ungraded_generator_walks_one_block():
     # grading; the whole box is then a single block in cell order
     poly = {(2, 0): 1, (0, 3): 1, (1, 1): 2}
     assert torus_grading([list(poly)], 2) == []
-    row, blocks = box_rows([9, 9], [poly])
+    _, blocks = box_rows([9, 9], [poly])
     got = [list(block) for block in blocks(range(9), 3)]
     assert len(got) == 1
-    cells = list(itertools.product(range(9), repeat=2))
-    assert got[0] == [(k, row(g)) for k, g in enumerate(cells) if row(g)]
+    rows = [box_row([9, 9], [poly], g) for g in itertools.product(range(9), repeat=2)]
+    assert got[0] == [(k, row) for k, row in enumerate(rows) if row]
     # a binomial is graded: its blocks are the diagonals 2a + 3b = const
     # (weights orthogonal to (3, -2)), merged until a block holds
     # BLOCK_LIFTS lifts
