@@ -15,8 +15,8 @@ mapping column index to a nonzero coefficient in [1, p); the zero vector is
 the empty dict.  A row holds one entry per generator term landing in the
 box, out of #gens * |box| columns, so a sparse row costs what it holds.
 When every generator is one monomial, distinct cells never share a column,
-so the non-empty rows are independent (the rank route counts them with
-groebner.staircase_count instead of building them).  Echelon keeps each
+so the non-empty rows are independent (the rank route counts them as
+q^n - length(S/(m^[q] + b_e)) instead of building them).  Echelon keeps each
 pivot row as it reduced, not made monic.  Its columns below 0 are label
 columns, never a lead: the colon tags each candidate row with one, so a row
 that depends on earlier ones reduces to the labels of its dependency.
@@ -203,10 +203,10 @@ class Echelon:
         otherwise only its label columns are left in it.  Pivot rows are kept
         as they reduced, not made monic: the multiplier against a pivot is
         vec[lead] / row[lead].  A vector equal to the pivot that has its lead
-        cancels whole, with no reduction loop; it is cleared, as a reduced
-        vector is emptied, so a caller that still holds it (the rank route
-        holds a slab of rows) holds no entries.  This never fires on a vector
-        tagged with its own label, which no pivot holds.
+        cancels whole, with no reduction loop; it is cleared, so that like
+        every dependent vector it is left holding only its labels (here none).
+        This never fires on a vector tagged with its own label, which no
+        pivot holds.
         """
         p = self.p
         while vec:

@@ -13,7 +13,6 @@ from .poly import (
     PolyRing,
     Polynomial,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
 )
 
@@ -127,11 +126,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     )
 
 
-def minimal_monomials(gens: Iterable[Polynomial]) -> List[Exponents]:
-    """Exponents of the minimal generators of the ideal spanned by the given monomials."""
+def minimal_monomials(monos: Iterable[Exponents]) -> List[Exponents]:
+    """The minimal exponents under divisibility, sorted by (degree, exponents).
+
+    They are the minimal generators of the monomial ideal the given monomials
+    span; duplicates and multiples of another are dropped.
+    """
     out: List[Exponents] = []
-    for m in sorted({m for g in gens for m in g.terms}, key=lambda t: (sum(t), t)):
-        if not any(monomial_divides(o, m) for o in out):
+    for m in sorted(set(monos), key=lambda t: (sum(t), t)):
+        if not any(all(map(le, o, m)) for o in out):
             out.append(m)
     return out
 
@@ -178,7 +181,8 @@ def buchberger(
 
     if all(g.is_monomial() for g in gens):
         # monomial ideals are their own reduced basis after minimalization
-        return GroebnerBasis(ring, [ring.monomial(m) for m in minimal_monomials(gens)])
+        mins = minimal_monomials(m for g in gens for m in g.terms)
+        return GroebnerBasis(ring, [ring.monomial(m) for m in mins])
 
     lead: List[Tuple[Exponents, Polynomial]] = []
     seen = set()
@@ -248,14 +252,8 @@ def _reduce_basis(ring: PolyRing, lead: List[Tuple[Exponents, Polynomial]]) -> G
     by the others once: no lead divides another, so leading terms stay monic
     and fixed, and a tail reduced against fixed leads stays reduced.
     """
-    minimal = [
-        (lm, g)
-        for idx, (lm, g) in enumerate(lead)
-        if not any(
-            k != idx and monomial_divides(other, lm) and (other != lm or k < idx)
-            for k, (other, _) in enumerate(lead)
-        )
-    ]
+    first = dict(reversed(lead))  # each lead's first element
+    minimal = [(lm, first[lm]) for lm in minimal_monomials(first)]
     for idx, (lm, g) in enumerate(minimal):
         minimal[idx] = (lm, _reduce(g, minimal[:idx] + minimal[idx + 1 :]))
     return GroebnerBasis(ring, [g for _, g in minimal])
@@ -293,9 +291,6 @@ class Ideal:
         if self._gb is None:
             self._gb = gb
 
-    def contains(self, f: Polynomial) -> bool:
-        return ideal_membership(f, self)
-
     def is_proper(self) -> bool:
         gb = self.groebner_basis()
         return not any(g.is_constant() and not g.is_zero() for g in gb)
@@ -326,37 +321,23 @@ def quotient_length(I: Ideal):
     return staircase_count(lms)
 
 
-def staircase_count(points: Iterable[Exponents], corners: bool = False) -> int:
-    """Cells of an order ideal of N^n (n >= 1), counted without enumerating them.
+def staircase_count(leads: Iterable[Exponents]) -> int:
+    """Monomials divisible by none of the leads, counted without enumerating them.
 
-    Leads (corners=False): the monomials divisible by no point, i.e. the
-    standard monomials of the monomial ideal they generate, which must be
-    zero-dimensional (a pure power of every variable among the points).
-    Corners (corners=True): the cells g with g < c componentwise for some
-    point c, the union of the boxes prod [0, c_i); a corner with an entry
-    <= 0 is an empty box.
-
-    Recursion on the last coordinate: the slice at v is the same count in
-    one variable fewer, on the leads with last exponent <= v or the corners
-    with last coordinate > v, their last coordinate dropped.  It changes
-    only at the distinct last coordinates, so the count is a sum of
-    (run length) * (count of the slice), memoized on the slice's minimal
-    leads or maximal corners.  Past the largest last coordinate the leads
-    hold the pure power of the last variable and the corners run out, so
-    only the finite runs count.  In one variable the reduced slice is a
-    single point, and its coordinate is the count.
+    These are the standard monomials of the monomial ideal the leads
+    generate, which must be zero-dimensional (a pure power of every variable
+    among the leads, n >= 1).  Recursion on the last coordinate: the slice
+    at v is the same count in one variable fewer, on the leads with last
+    exponent <= v, their last coordinate dropped.  It changes only at the
+    distinct last exponents, so the count is a sum of (run length) * (count
+    of the slice), memoized on the slice's minimal leads.  Past the largest
+    last exponent the leads hold the pure power of the last variable, so
+    only the finite runs count.  In one variable the minimal leads are a
+    single pure power, and its exponent is the count.
     """
-    memo: Dict[frozenset, int] = {}
+    memo: Dict[Tuple[Exponents, ...], int] = {}
 
-    def reduce(pts) -> frozenset:
-        # drop a lead that another divides, or a corner that another contains
-        kept: List[Exponents] = []
-        for m in sorted(set(pts), key=sum, reverse=corners):
-            if not any(all(map(le, m, k) if corners else map(le, k, m)) for k in kept):
-                kept.append(m)
-        return frozenset(kept)
-
-    def count(pts: frozenset, n: int) -> int:
+    def count(pts: Tuple[Exponents, ...], n: int) -> int:
         if n == 1:
             (only,) = pts
             return only[0]
@@ -365,13 +346,13 @@ def staircase_count(points: Iterable[Exponents], corners: bool = False) -> int:
             cuts = sorted({0} | {m[-1] for m in pts})
             got = 0
             for v, w in zip(cuts, cuts[1:]):
-                cut = [m[:-1] for m in pts if (m[-1] > v if corners else m[-1] <= v)]
-                got += (w - v) * count(reduce(cut), n - 1)
+                cut = minimal_monomials(m[:-1] for m in pts if m[-1] <= v)
+                got += (w - v) * count(tuple(cut), n - 1)
             memo[pts] = got
         return got
 
-    top = reduce(m for m in points if not corners or min(m) > 0)
-    return count(top, len(next(iter(top)))) if top else 0
+    top = tuple(minimal_monomials(leads))
+    return count(top, len(top[0]))
 
 
 def krull_dimension(I: Ideal) -> int:

@@ -110,8 +110,8 @@ def intersection(I: Ideal, J: Ideal) -> Ideal:
     if I.is_monomial() and J.is_monomial():
         gens = [
             ring.monomial(monomial_lcm(a, b))
-            for a in minimal_monomials(I.generators)
-            for b in minimal_monomials(J.generators)
+            for a in minimal_monomials(m for g in I.generators for m in g.terms)
+            for b in minimal_monomials(m for g in J.generators for m in g.terms)
         ]
         return Ideal(ring, gens)
     return _intersection_elimination(I, J)
@@ -203,7 +203,7 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
         except ExactDivisionError:
             pass
     if I.is_monomial():
-        mins = minimal_monomials(I.generators)
+        mins = minimal_monomials(m for g in I.generators for m in g.terms)
         box = pure_power_box(mins, ring.nvars)
         if box is not None and all(sum(m) == max(m) for m in mins):
             return _colon_zero_dim(I, J, box)
@@ -213,8 +213,8 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
 def _colon_monomial(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     result: Optional[Ideal] = None
-    mins = minimal_monomials(I.generators)
-    for u in minimal_monomials(J.generators):
+    mins = minimal_monomials(m for g in I.generators for m in g.terms)
+    for u in minimal_monomials(m for g in J.generators for m in g.terms):
         gens = [ring.monomial(tuple(max(0, a - b) for a, b in zip(m, u))) for m in mins]
         Q = Ideal(ring, gens)
         result = Q if result is None else intersection(result, Q)

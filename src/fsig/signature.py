@@ -22,17 +22,20 @@ block at a time, in cell order, in an Echelon of its own that is dropped
 once passed: the pivots held are one block's, not the rank's, and D_e is
 the pivot set of one echelon over the same cells in cell order.  When
 every generator of b_e is a monomial, no two cells share a column, so the
-rank is the number of cells with a non-empty row: the union of the boxes
-below q - m_j, which groebner.staircase_count counts without building a
-row, as it counts the standard monomials for quotient_length.  So
+rank is the number of cells g with some g + m_j in the box, and
+g -> q - 1 - g maps them onto the box's multiples of some m_j: a_e is
+q^n - length(S/(m^[q] + b_e)), the Matlis duality of the Gorenstein ring
+S/m^[q] read off a monomial b_e.  quotient_length counts that length on
+the one staircase (groebner.staircase_count) and builds no row.  So
 method="both" checks the walks and the read-outs (reduced basis from label
-columns and staircase count vs pivot count or box-union count), but not
-the shared row builder or the shared echelon.  Those are checked in tests
-only, against the brute-force oracles of tests/_oracles.py (box rows,
-dense elimination, Macaulay membership, brute-force standard-monomial and
-union-of-boxes counts).  Each system memoizes its I_e, which the basis route
-and the prime candidate both read, and the rank route's newest D_e, which
-the basis route never reads.
+columns and staircase count of the colon (m^[q] : b_e) vs pivot count or
+staircase count of the sum m^[q] + b_e), but not the shared row builder or
+the shared echelon.  Those are checked in tests only, against the
+brute-force oracles of tests/_oracles.py (box rows, dense elimination,
+Macaulay membership, brute-force standard-monomial and union-of-boxes
+counts).  Each system memoizes its I_e, which the basis route and the
+prime candidate both read, and the rank route's newest D_e, which the
+basis route never reads.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .groebner import (
     krull_dimension,
     normal_form,
     quotient_length,
-    staircase_count,
 )
 from .ideals import ExactDivisionError, bracket_power, colon, exact_divide, ideal_sum
 from .poly import PolyRing
@@ -101,12 +103,13 @@ def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
 
 def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
     """Rank over F_p of g -> (g*f_j mod <x_i^q>) on the box basis of exponents < q."""
-    q = sys.ring.p**e
-    polys = [f.terms for f in sys.b_of(e).generators]
-    if all(len(f) == 1 for f in polys):
-        # monomial generators: no two cells share a column, so the rank is the
-        # number of cells with a non-empty row, the union of the boxes below q - m
-        return staircase_count((tuple(q - u for u in m) for f in polys for m in f), corners=True)
+    ring = sys.ring
+    b = sys.b_of(e)
+    if b.is_monomial():
+        # no two cells share a column, so the rank counts the cells g with some
+        # g + m_j in the box; g -> q - 1 - g maps them onto the box's multiples
+        # of some m_j, the cells outside the staircase of m^[q] + b_e
+        return ring.p ** (e * ring.nvars) - quotient_length(ideal_sum(maximal_bracket(ring, e), b))
     return len(_pivot_cells(sys, e))
 
 

@@ -58,14 +58,15 @@ class FGradedSystem:
 
 
 class QuotientSystem(FGradedSystem):
-    """b_e = (J^[p^e] : J) for a fixed non-zero proper ideal J."""
+    """b_e = (J^[p^e] : J) for a fixed non-zero ideal J inside m = (x_1, ..., x_n)."""
 
     def __init__(self, ring: PolyRing, J: Ideal):
         super().__init__(ring)
         if J.is_zero():
             raise ValueError("quotient system needs a non-zero ideal")
-        if not J.is_proper():
-            raise ValueError("quotient system needs a proper ideal")
+        # s_e is taken at the origin, where S/J is 0 unless J lies in m
+        if any(not any(m) for f in J.generators for m in f.terms):
+            raise ValueError("quotient system needs generators with no constant term")
         self.J = J
 
     def _compute(self, e: int) -> Ideal:
@@ -134,9 +135,7 @@ def make_system(spec, ring: PolyRing, ceiling: str = "pminusone") -> FGradedSyst
     Fraction) or ("product", [node, ...]).
     """
     kind = spec[0]
-    if kind == "quotient":  # s_e is taken at the origin, where S/J is 0 unless J lies in m
-        if any(not any(m) for f in spec[1] for m in f.terms):
-            raise ValueError("quotient system needs generators with no constant term")
+    if kind == "quotient":
         return QuotientSystem(ring, Ideal(ring, spec[1]))
     if kind == "pair":
         return PairSystem(ring, Ideal(ring, spec[1]), spec[2], ceiling)

@@ -24,7 +24,6 @@ from _oracles import (
     degrevlex_cmp,
     lex_cmp,
     macaulay_member,
-    union_of_boxes_count,
 )
 
 ORDER_CMPS = [
@@ -130,23 +129,6 @@ def test_staircase_count_leads_match_brute_force_randomized():
         if n <= 3:  # the same count through a reduced basis
             R = PolyRing.make(5, ["x", "y", "z"][:n])
             assert quotient_length(Ideal(R, [R.monomial(m) for m in leads])) == expected, leads
-
-
-def test_staircase_count_corners_match_union_of_boxes_randomized():
-    rng = random.Random(8181)
-    for _ in range(400):
-        n = rng.randint(1, 4)
-        top = 12 if n < 4 else 6
-        # entries from -1 up: corners with an entry <= 0 are empty boxes
-        corners = [
-            tuple(rng.choice([-1, 0, 1, rng.randint(-1, top), rng.randint(-1, top)]) for _ in range(n))
-            for _ in range(rng.randint(0, 5))
-        ]
-        if corners and rng.random() < 0.3:  # a corner inside another, and a duplicate
-            corners.append(tuple(max(u - rng.randint(0, 2), 1) for u in rng.choice(corners)))
-            corners.append(rng.choice(corners))
-        expected = union_of_boxes_count(corners) if corners else 0
-        assert staircase_count(corners, corners=True) == expected, corners
 
 
 def test_quotient_length_of_a_huge_box_does_not_enumerate():

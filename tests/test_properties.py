@@ -48,6 +48,11 @@ def _random_small_ideal(rng, ring, monomial_only=False, max_gens=2):
     return Ideal(ring, [_random_poly(rng, ring)])
 
 
+def _inside_m(ring, f):
+    """f, times the first variable when it has a constant term: a quotient's J lies in m."""
+    return f * ring.variable(ring.variables[0]) if (0,) * ring.nvars in f.terms else f
+
+
 def _random_system(rng, p, max_nvars=3):
     """pair / product / quotient instances kept small enough for level 3."""
     nvars = rng.randint(1, max_nvars)
@@ -68,11 +73,8 @@ def _random_system(rng, p, max_nvars=3):
         gens = [_random_poly(rng, ring), _random_poly(rng, ring)]
         J = Ideal(ring, gens)
         if J.is_proper() and not J.is_zero():
-            return QuotientSystem(ring, J)
-    f = _random_poly(rng, ring)
-    if f.is_constant():
-        f = f * ring.variable(ring.variables[0])
-    return QuotientSystem(ring, Ideal(ring, [f]))
+            return QuotientSystem(ring, Ideal(ring, [_inside_m(ring, g) for g in gens]))
+    return QuotientSystem(ring, Ideal(ring, [_inside_m(ring, _random_poly(rng, ring))]))
 
 
 def test_fgraded_axiom_holds_on_constructed_systems():

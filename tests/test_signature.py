@@ -8,8 +8,8 @@ import pytest
 from _oracles import box_multiplication_rank, union_of_boxes_count
 from fsig import _linalg
 from fsig._linalg import Echelon, box_rows, torus_grading
-from fsig.groebner import Ideal, ideal_membership
-from fsig.ideals import bracket_power, colon, ideal_equals
+from fsig.groebner import Ideal, ideal_membership, quotient_length
+from fsig.ideals import bracket_power, colon, ideal_equals, ideal_sum
 from fsig.poly import PolyRing, Polynomial
 import fsig.signature as signature
 from fsig.signature import (
@@ -166,6 +166,8 @@ def test_is_f_pure_matches_splitting_numbers():
         f = Polynomial(R, terms)
         if f.is_zero() or f.is_constant():
             continue
+        if (0, 0) in f.terms:  # a quotient is taken at the origin: J inside m
+            f = f * R.variable("x")
         sys_obj = QuotientSystem(R, Ideal(R, [f]))
         pure, witness = is_f_pure(sys_obj, 2)
         numbers = [splitting_number(sys_obj, e) for e in (1, 2)]
@@ -655,8 +657,9 @@ def test_snc_at_level_twelve_is_counted_not_enumerated(method):
 
 
 def test_monomial_rank_route_counts_union_of_boxes_randomized():
-    # all-monomial b_e: the rank route counts the union of the boxes
-    # prod [0, q - m_j), which must equal the rank of the full box's rows
+    # all-monomial b_e: the rank route counts q^n - length(S/(m^[q] + b_e)),
+    # which must equal the union of the boxes prod [0, q - m_j) and the rank
+    # of the full box's rows
     rng = random.Random(6161)
     levels = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
     for _ in range(80):
@@ -679,3 +682,36 @@ def test_monomial_rank_route_counts_union_of_boxes_randomized():
         for g in itertools.product(range(q), repeat=n):
             ech.insert(row(g))
         assert got == ech.rank, (p, e, exps)
+
+
+def test_colon_length_is_dual_to_sum_length_randomized():
+    # S/m^[q] is Artinian Gorenstein, so Matlis duality gives
+    # length(S/(m^[q] : b)) = q^n - length(S/(m^[q] + b)) for every ideal b:
+    # on non-monomial b_e (principal quotients, principal and two-generator
+    # pairs) the cross-checked a_e must equal the sum's co-length; every
+    # shape meets every kind, but a two-generator pair at p = 3 stops at
+    # e = 2 (b_3 = a^N with N >= 7 has at least 8 generators)
+    rng = random.Random(9494)
+    shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2)]  # (p, n, emax)
+    kinds = ["quotient", "pair", "pair2"]
+    levels = 0
+    for draw in range(12):
+        (p, n, emax), kind = shapes[draw % 4], kinds[draw % 3]
+        emax = min(emax, 2) if (p, kind) == (3, "pair2") else emax
+        R = PolyRing.make(p, ["x", "y", "z"][:n])
+        polys = []
+        while len(polys) < 2:
+            terms = {tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(1, p - 1) for _ in range(3)}
+            terms.pop((0,) * n, None)  # J inside m, and b_e = a^N is then non-trivial
+            if len(terms) > 1:
+                polys.append(Polynomial(R, terms))
+        if kind == "quotient":
+            sys_ = QuotientSystem(R, Ideal(R, polys[:1]))
+        else:
+            sys_ = PairSystem(R, Ideal(R, polys[: 1 + (kind == "pair2")]), Fraction(1, rng.randint(2, 4)))
+        for e in range(1, emax + 1):
+            b = sys_.b_of(e)
+            sum_length = quotient_length(ideal_sum(maximal_bracket(R, e), b))
+            assert splitting_number(sys_, e, "both") == p ** (e * n) - sum_length, (sys_, e)
+            levels += not b.is_monomial()
+    assert levels >= 24, levels

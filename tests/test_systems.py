@@ -43,6 +43,8 @@ def test_constructor_validation():
         QuotientSystem(R, Ideal(R, []))
     with pytest.raises(ValueError):
         QuotientSystem(R, Ideal(R, [R.one()]))
+    with pytest.raises(ValueError, match="no constant term"):
+        QuotientSystem(R, Ideal(R, [R.parse("1 + x")]))
     with pytest.raises(ValueError):
         PairSystem(R, Ideal(R, []), Fraction(1, 2))
     with pytest.raises(ValueError):
