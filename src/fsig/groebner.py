@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import add, le, sub
+from operator import add, le, neg, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
@@ -85,17 +85,21 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]]) -> Polynomial:
     """Full remainder of f by the monic reducers `lead`, as (leading monomial, g) pairs.
 
-    The remainder's terms are stored in decreasing order, so its first term is its lead.
+    Terms leave a heap of negated order keys largest first (one cancelled
+    since it was queued is skipped), so the remainder's first term is its lead.
     """
     ring = f.ring
     p = ring.p
-    work = dict(f.terms)
-    out: Dict[Exponents, int] = {}
     key = ring.order.key
-    keys = {m: key(m) for m in work}  # each term's order key, built once on entry
-    while work:
-        m = max(work, key=keys.__getitem__)
-        c = work[m]
+    work = dict(f.terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapq.heapify(heap)
+    out: Dict[Exponents, int] = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         for lm, g in lead:
             if all(map(le, lm, m)):
                 shift = tuple(map(sub, m, lm))
@@ -103,8 +107,8 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]]) -> Poly
                     t = tuple(map(add, gm, shift))
                     v = (work.get(t, 0) - c * gc) % p
                     if v:
-                        if t not in keys:
-                            keys[t] = key(t)
+                        if t not in work:
+                            heapq.heappush(heap, (tuple(map(neg, key(t))), t))
                         work[t] = v
                     else:
                         work.pop(t, None)
@@ -162,13 +166,14 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm, under the ring's order.
 
-    Normal selection strategy (smallest pair lcm in the order, then smallest
-    indices; each lcm and its key are computed once, on a heap), the coprime
-    and chain pair criteria, full-tail reductions by the monic elements found
-    so far.  Every element is kept monic beside its leading monomial, so an
-    S-pair is built from the two known leads and their queued lcm without
-    rescanning either polynomial.  Deterministic for a fixed input.  Caps
-    raise ResourceLimitError rather than truncating silently.
+    Gebauer-Moeller update (J. Symbolic Comput. 6, 1988), once per inserted h:
+    queue one pair (g, h) per minimal lcm, none whose lcm a coprime pair has
+    (criteria M, F); delete each queued pair whose lcm lm(h) divides but equals
+    neither of its lcms with h (criterion B); drop each live element whose lead
+    lm(h) divides, so the live reducers stay a minimal basis (generators go in
+    by decreasing lead).  Normal selection (smallest lcm, then indices) off a
+    heap that skips deleted pairs.  Caps on pairs reduced and live elements
+    raise ResourceLimitError, never truncate.  Deterministic for a fixed input.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -184,79 +189,64 @@ def buchberger(
         mins = minimal_monomials(m for g in gens for m in g.terms)
         return GroebnerBasis(ring, [ring.monomial(m) for m in mins])
 
-    lead: List[Tuple[Exponents, Polynomial]] = []
-    seen = set()
-    for g in sorted(gens, key=lambda h: sorted(h.terms.items())):
-        g = g.monic()
-        marker = frozenset(g.terms.items())
-        if marker not in seen:
-            seen.add(marker)
-            lead.append((g.leading_term()[0], g))
-
-    pending = set()  # queued pairs, for the chain criterion
+    elems: List[Tuple[Exponents, Polynomial]] = []  # every inserted element, by index
+    live: List[int] = []  # indices of the minimal basis, in insertion order
+    pending: Dict[Tuple[int, int], Exponents] = {}  # queued pairs not deleted, with their lcm
     queue: List[Tuple[object, int, int, Exponents]] = []  # (order key of lcm, i, j, lcm)
 
-    def enqueue(j: int):
-        lm_j = lead[j][0]
-        for i in range(j):
-            lcm = tuple(map(max, lead[i][0], lm_j))
-            pending.add((i, j))
-            heapq.heappush(queue, (key(lcm), i, j, lcm))
+    def insert(lm: Exponents, h: Polynomial):
+        j = len(elems)
+        for (i, k), lcm in list(pending.items()):  # criterion B
+            if all(map(le, lm, lcm)) and lcm not in (tuple(map(max, elems[i][0], lm)), tuple(map(max, elems[k][0], lm))):
+                del pending[i, k]
+        first: Dict[Exponents, Optional[int]] = {}  # lcm -> first live index, None if coprime
+        for i in live:
+            lcm = tuple(map(max, elems[i][0], lm))
+            first[lcm] = first.get(lcm, i) if any(map(min, elems[i][0], lm)) else None
+        for lcm in minimal_monomials(first):  # criteria M and F
+            if first[lcm] is not None:
+                pending[first[lcm], j] = lcm
+                heapq.heappush(queue, (key(lcm), first[lcm], j, lcm))
+        elems.append((lm, h))
+        live[:] = [i for i in live if not all(map(le, lm, elems[i][0]))] + [j]
 
-    for j in range(len(lead)):
-        enqueue(j)
+    for g in sorted(map(Polynomial.monic, gens), key=lambda h: (key(h.leading_term()[0]), sorted(h.terms.items())), reverse=True):
+        insert(g.leading_term()[0], g)
     pairs_done = 0
 
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
-        pending.discard((i, j))
+        if pending.pop((i, j), None) is None:
+            continue  # deleted by criterion B after it was queued
         pairs_done += 1
         if pairs_done > max_pairs:
-            raise ResourceLimitError(
-                f"pair cap {max_pairs} exceeded", pairs_done, len(lead)
-            )
-        (lm_i, f_i), (lm_j, f_j) = lead[i], lead[j]
-        if not any(map(min, lm_i, lm_j)):
-            continue  # coprime leading monomials
-        if any(
-            k != i
-            and k != j
-            and all(map(le, lm_k, lcm))
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, (lm_k, _) in enumerate(lead)
-        ):
-            continue  # chain criterion
-        # both reducers are monic, so the S-pair is f_i*(lcm/lm_i) - f_j*(lcm/lm_j)
+            raise ResourceLimitError(f"pair cap {max_pairs} exceeded", pairs_done, len(live))
+        (lm_i, f_i), (lm_j, f_j) = elems[i], elems[j]
+        # both elements are monic, so the S-pair is f_i*(lcm/lm_i) - f_j*(lcm/lm_j)
         spair = f_i.monomial_shift(tuple(map(sub, lcm, lm_i))) - f_j.monomial_shift(
             tuple(map(sub, lcm, lm_j))
         )
-        h = _reduce(spair, lead)
+        h = _reduce(spair, [elems[k] for k in live])
         if h.is_zero():
             continue
-        if len(lead) + 1 > max_basis:
-            raise ResourceLimitError(
-                f"basis cap {max_basis} exceeded", pairs_done, len(lead) + 1
-            )
         lm = next(iter(h.terms))
-        lead.append((lm, h.scale(ring.field.inv(h.terms[lm]))))
-        enqueue(len(lead) - 1)
+        insert(lm, h.scale(ring.field.inv(h.terms[lm])))
+        if len(live) > max_basis:
+            raise ResourceLimitError(f"basis cap {max_basis} exceeded", pairs_done, len(live))
 
-    return _reduce_basis(ring, lead)
+    return _reduce_basis(ring, sorted((elems[k] for k in live), key=lambda pair: key(pair[0])))
 
 
 def _reduce_basis(ring: PolyRing, lead: List[Tuple[Exponents, Polynomial]]) -> GroebnerBasis:
-    """Reduced basis from monic (leading monomial, g) pairs spanning a Groebner basis.
+    """Reduced basis from a minimal Groebner basis: monic (leading monomial, g) pairs by increasing lead.
 
-    Keeps a minimal basis (the first of equal leads), then reduces each element
-    by the others once: no lead divides another, so leading terms stay monic
-    and fixed, and a tail reduced against fixed leads stays reduced.
+    No lead divides another, so leads stay monic and fixed.  A tail term lies
+    below its lead, so only smaller leads divide it: each element is reduced
+    once by the ones before it, already reduced.
     """
-    first = dict(reversed(lead))  # each lead's first element
-    minimal = [(lm, first[lm]) for lm in minimal_monomials(first)]
-    for idx, (lm, g) in enumerate(minimal):
-        minimal[idx] = (lm, _reduce(g, minimal[:idx] + minimal[idx + 1 :]))
-    return GroebnerBasis(ring, [g for _, g in minimal])
+    for idx, (lm, g) in enumerate(lead):
+        lead[idx] = (lm, _reduce(g, lead[:idx]))
+    return GroebnerBasis(ring, [g for _, g in lead])
 
 
 class Ideal:

@@ -1,6 +1,7 @@
 """Ideal constructions: bracket powers, powers, products, intersections, colons.
 
-Colon ideals drive everything downstream, so they get several routes:
+Colon ideals drive everything downstream, so they get several routes, each
+exact for a unit operand (no Buchberger run is spent ruling one out):
 
 * both sides monomial        -> combinatorial colon/intersection
 * principal by principal     -> one exact division when the divisor divides
@@ -89,12 +90,6 @@ def _check_same_ring(I: Ideal, J: Ideal):
         raise ValueError("ideals live in different rings")
 
 
-def _contains_unit(I: Ideal) -> bool:
-    return any(g.is_constant() and not g.is_zero() for g in I.generators) or (
-        not I.is_zero() and not I.is_proper()
-    )
-
-
 # -- intersection -------------------------------------------------------
 
 def intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -103,10 +98,6 @@ def intersection(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
-    if _contains_unit(I):
-        return J
-    if _contains_unit(J):
-        return I
     if I.is_monomial() and J.is_monomial():
         gens = [
             ring.monomial(monomial_lcm(a, b))
@@ -144,6 +135,24 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
     result = Ideal(ring, out)
     result.set_groebner_basis(GroebnerBasis(ring, out))
     return result
+
+
+def tangent_cone(I: Ideal) -> Ideal:
+    """The lowest-degree forms of I: S over them has the dimension of S/I at 0.
+
+    Each generator f becomes f(t*x)/t^{ord f} in S[t], saturated by t (u
+    eliminated from them and 1 - u*t), at t = 0 (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 5.5).  A homogeneous ideal skips it.
+    """
+    ring = I.ring
+    if all(len({sum(m) for m in g.terms}) == 1 for g in I.groebner_basis()):
+        return I
+    sat = ring.extended().extended()  # variables u, t, then the ring's
+    lows = [min(map(sum, g.terms)) for g in I.generators]
+    gens = [Polynomial(sat, {(0, sum(m) - low) + m: c for m, c in g.terms.items()}) for g, low in zip(I.generators, lows)]
+    gens.append(sat.one() - sat.monomial((1, 1) + (0,) * ring.nvars))
+    forms = [g for g in buchberger(gens) if not any(m[0] for m in g.terms)]
+    return Ideal(ring, [Polynomial(ring, {m[2:]: c for m, c in g.terms.items() if not m[1]}) for g in forms])
 
 
 # -- exact division -----------------------------------------------------
@@ -191,8 +200,6 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
     ring = I.ring
-    if _contains_unit(J):
-        return I
     if I.is_zero():
         return Ideal(ring, [])
     if I.is_monomial() and J.is_monomial():

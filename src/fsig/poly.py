@@ -77,6 +77,10 @@ class TermOrder:
     kind is "degrevlex", "lex" or "block".  A block order compares the first
     block_size exponents degrevlex-first and falls through to the inner
     order, which makes it an elimination order for the leading variables.
+
+    key(exps), with key(a) > key(b) iff a > b, is one flat function built once:
+    the degree, then the negated reversed exponents, for degrevlex; for a block
+    order, those of its head, then the inner order's (inlined if degrevlex).
     """
 
     kind: str = "degrevlex"
@@ -88,21 +92,20 @@ class TermOrder:
             raise ValueError(f"unknown term order {self.kind!r}")
         if self.kind == "block" and (self.block_size < 1 or self.inner is None):
             raise ValueError("block order needs block_size >= 1 and an inner order")
-
-    def key(self, exps: Exponents) -> Tuple[int, ...]:
-        """Flat sort key; key(a) > key(b) iff monomial a > monomial b.
-
-        degrevlex is the degree followed by the negated reversed exponents; a
-        block order gives its head's degrevlex fields followed by the inner
-        order's fields for the tail.
-        """
-        if self.kind == "degrevlex":
-            return (sum(exps), *map(neg, reversed(exps)))
+        b, inner = self.block_size, self.inner
         if self.kind == "lex":
-            return exps
-        b = self.block_size
-        head = exps[:b]
-        return (sum(head), *map(neg, reversed(head)), *self.inner.key(exps[b:]))
+            key = tuple
+        elif self.kind == "degrevlex":
+            def key(exps):
+                return (sum(exps), *map(neg, reversed(exps)))
+        elif inner.kind == "degrevlex":
+            def key(exps):
+                head, tail = exps[:b], exps[b:]
+                return (sum(head), *map(neg, reversed(head)), sum(tail), *map(neg, reversed(tail)))
+        else:
+            def key(exps, inner=inner.key):
+                return (sum(exps[:b]), *map(neg, reversed(exps[:b])), *inner(exps[b:]))
+        object.__setattr__(self, "key", key)
 
     def greater(self, a: Exponents, b: Exponents) -> bool:
         return self.key(a) > self.key(b)

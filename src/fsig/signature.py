@@ -55,7 +55,7 @@ from .groebner import (
     normal_form,
     quotient_length,
 )
-from .ideals import ExactDivisionError, bracket_power, colon, exact_divide, ideal_sum
+from .ideals import ExactDivisionError, bracket_power, colon, exact_divide, ideal_sum, tangent_cone
 from .poly import PolyRing
 from .systems import FGradedSystem, QuotientSystem
 
@@ -258,8 +258,8 @@ def _fit_tail(rows: Sequence[Row], p: int) -> Tuple[Optional[Fraction], Optional
 
 
 def _default_dimension(sys: FGradedSystem) -> int:
-    if isinstance(sys, QuotientSystem):
-        return krull_dimension(sys.J)
+    if isinstance(sys, QuotientSystem):  # the local ring of S/J at the origin
+        return krull_dimension(tangent_cone(sys.J))
     # pair and product families measure against the full ambient ring
     return sys.ring.nvars
 
@@ -409,10 +409,10 @@ def splitting_prime_candidate(
 
 
 def ratio_dimension(sys: FGradedSystem, C: Ideal) -> int:
-    """Normalization dimension for ratios: dim of the candidate's quotient locus."""
+    """Normalization dimension for ratios: dim of the candidate's quotient locus at 0."""
     if isinstance(sys, QuotientSystem):
-        return krull_dimension(ideal_sum(C, sys.J))
-    return krull_dimension(C)
+        C = ideal_sum(C, sys.J)
+    return krull_dimension(tangent_cone(C))
 
 
 def splitting_ratio(

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Nothing here calls the Groebner engine, the echelon backends, or the polytope
-pipeline: membership and lengths go through dense Macaulay-style elimination
+pipeline: reduced bases come from a textbook Buchberger with no pair criterion,
+membership and lengths go through dense Macaulay-style elimination
 on integer lists, areas through the shoelace formula, 3-D volumes through
 exact integration of slice areas, powers through repeated multiplication on
 plain dicts.
@@ -278,6 +279,66 @@ def block_cmp(block_size: int, inner):
         return head if head else inner(a[block_size:], b[block_size:])
 
     return cmp
+
+
+def plain_groebner(gens: Sequence[Dict[Tuple[int, ...], int]], p: int, cmp) -> set:
+    """Reduced Groebner basis of the term dicts `gens` under the comparator `cmp`.
+
+    Textbook Buchberger: the S-polynomial of every pair, in the order the
+    pairs arise and with no criterion, each reduced by the whole list until
+    no remainder is new; then the list is made minimal and every element
+    tail-reduced by the others.  Returns the basis as a set of frozensets of
+    (exponents, coefficient) items.
+    """
+    key = cmp_to_key(cmp)
+
+    def lead(f):
+        return max(f, key=key)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def monic(f):
+        inv = pow(f[lead(f)], -1, p)
+        return {m: c * inv % p for m, c in f.items()}
+
+    def shifted(f, shift, factor):
+        return {tuple(a + b for a, b in zip(m, shift)): c * factor % p for m, c in f.items()}
+
+    def reduce(f, basis):
+        f, out = dict(f), {}
+        while f:
+            m = lead(f)
+            g = next((g for g in basis if divides(lead(g), m)), None)
+            if g is None:
+                out[m] = f.pop(m)
+                continue
+            shift = tuple(a - b for a, b in zip(m, lead(g)))
+            for t, c in shifted(g, shift, f[m]).items():
+                v = (f.get(t, 0) - c) % p
+                if v:
+                    f[t] = v
+                else:
+                    f.pop(t, None)
+        return out
+
+    basis = [monic(g) for g in gens if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        f, g = (basis[k] for k in pairs.pop(0))
+        lcm = tuple(map(max, lead(f), lead(g)))
+        s = shifted(f, tuple(a - b for a, b in zip(lcm, lead(f))), 1)
+        for t, c in shifted(g, tuple(a - b for a, b in zip(lcm, lead(g))), 1).items():
+            s[t] = (s.get(t, 0) - c) % p
+        r = reduce({m: c for m, c in s.items() if c}, basis)
+        if r:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(monic(r))
+    minimal: List[Dict[Tuple[int, ...], int]] = []
+    for g in sorted(basis, key=lambda g: key(lead(g))):
+        if not any(divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    return {frozenset(reduce(g, [h for h in minimal if h is not g]).items()) for g in minimal}
 
 
 def repeated_product(terms: Dict[Tuple[int, ...], int], k: int, p: int):

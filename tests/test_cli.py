@@ -181,6 +181,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([str(missing)]) == 1
 
 
+def test_main_prints_d_at_the_origin(tmp_path, capsys):
+    # the plane z = 1 misses 0, where S/J is the regular line: d = 1 and every s_e = 1
+    path = tmp_path / "plane_and_line.fsig"
+    path.write_text("p = 3\nvars = x, y, z\nsystem = quotient { J = [ x*z - x, y*z - y ] }\nmode = signature\nemax = 3\n")
+    assert main([str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "d = 1\n" in out
+    assert out.count("| 1 ≈ 1.000000\n") == 3
+
+
 def test_main_emax_override(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)

@@ -4,6 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
+import fsig.groebner as groebner
 from fsig.groebner import (
     GroebnerBasis,
     Ideal,
@@ -19,11 +20,13 @@ from fsig.groebner import (
 from fsig.poly import DEGREVLEX, LEX, PolyRing, Polynomial, monomial_divides
 
 from _oracles import (
+    block_cmp,
     box_quotient_corank,
     count_standard_monomials,
     degrevlex_cmp,
     lex_cmp,
     macaulay_member,
+    plain_groebner,
 )
 
 ORDER_CMPS = [
@@ -168,6 +171,34 @@ def test_resource_cap_trips_at_pinned_pair(caps, pairs_done, basis_size):
     with pytest.raises(ResourceLimitError) as err:
         buchberger(gens, **caps)
     assert (err.value.pairs_done, err.value.basis_size) == (pairs_done, basis_size)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_buchberger_matches_plain_oracle_randomized(p, monkeypatch):
+    # the reduced basis is the textbook one (every pair, no criterion), and the
+    # live reducers stay a minimal basis: no lead among them divides another
+    reducer_sets = []
+    real_reduce = groebner._reduce
+
+    def watched(f, lead):
+        leads = [lm for lm, _ in lead]
+        reducer_sets.append(leads)
+        assert not any(i != j and monomial_divides(a, b) for i, a in enumerate(leads) for j, b in enumerate(leads)), leads
+        return real_reduce(f, lead)
+
+    monkeypatch.setattr(groebner, "_reduce", watched)
+    rng = random.Random(1600 + p)
+    for trial in range(40):
+        nvars = rng.randint(1, 4)
+        R = PolyRing.make(p, ["x", "y", "z", "w"][:nvars])
+        cmp = degrevlex_cmp
+        if trial % 2 and nvars > 1:  # the extended ring's block order, t in front
+            R = PolyRing.make(p, ["x", "y", "z"][: nvars - 1]).extended()
+            cmp = block_cmp(1, degrevlex_cmp)
+        gens = [_random_poly(rng, R, 3, 3 if nvars < 4 else 2) for _ in range(rng.randint(1, 3))]
+        gb = buchberger(gens)
+        assert {frozenset(g.terms.items()) for g in gb} == plain_groebner([g.terms for g in gens], p, cmp), gens
+    assert sum(len(leads) > 1 for leads in reducer_sets) >= 40
 
 
 def test_groebner_basis_rejects_non_monic_element():

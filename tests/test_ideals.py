@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fsig.groebner import Ideal, buchberger, ideal_membership
+from fsig.groebner import Ideal, buchberger, ideal_membership, krull_dimension
 from fsig.ideals import (
     ExactDivisionError,
     bracket_power,
@@ -14,6 +14,7 @@ from fsig.ideals import (
     ideal_product,
     ideal_sum,
     intersection,
+    tangent_cone,
 )
 from fsig.ideals import _colon_elimination, _intersection_elimination
 from fsig.poly import PolyRing, Polynomial
@@ -144,6 +145,61 @@ def test_colon_by_unit_and_zero():
     # the unit ideal is a zero-dimensional monomial ideal for the linear route
     one = Ideal(R, [R.one()])
     assert ideal_equals(colon(one, Ideal(R, [R.parse("x + y")])), one)
+
+
+@pytest.mark.parametrize("unit", ["1", "1 + x", "x, 1 + y"])
+def test_colon_by_a_unit_ideal_without_a_unit_check(unit):
+    # no unit check runs first: <1> takes the monomial route, the others the zero-dimensional one
+    R = PolyRing.make(3, ["x", "y"])
+    cube = Ideal(R, [R.parse("x^3"), R.parse("y^3")])
+    got = colon(cube, Ideal(R, [R.parse(g) for g in unit.split(",")]))
+    assert [str(g) for g in got.groebner_basis()] == ["y^3", "x^3"]
+
+
+def test_intersection_with_a_unit_ideal_without_a_unit_check():
+    R = PolyRing.make(3, ["x", "y"])
+    I = Ideal(R, [R.parse("y^2 + x")])
+    unit = Ideal(R, [R.parse("x"), R.parse("1 + x")])
+    assert ideal_equals(intersection(I, unit), I)
+    assert ideal_equals(intersection(unit, I), I)
+
+
+def _random_form(rng, ring, deg, max_terms=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        cuts = sorted(rng.randint(0, deg) for _ in range(ring.nvars - 1))
+        mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        terms[mono] = rng.randint(1, ring.p - 1)
+    return Polynomial(ring, terms)
+
+
+def test_tangent_cone_gives_the_dimension_at_the_origin_randomized():
+    # a homogeneous J is its own cone; a unit factor 1 + h (h in m) on each generator,
+    # or a product with a component off the origin (z - 1), leaves the local dimension
+    rng = random.Random(3535)
+    checked = 0
+    for _ in range(30):
+        p = rng.choice([2, 3, 5])
+        R = PolyRing.make(p, ["x", "y", "z"])
+        J = Ideal(R, [_random_form(rng, R, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))])
+        assert tangent_cone(J) is J
+        d = krull_dimension(J)
+        unit = [R.one() + _random_form(rng, R, rng.randint(1, 2)) for _ in J.generators]
+        twisted = Ideal(R, [f * u for f, u in zip(J.generators, unit)])
+        translated = Ideal(R, [f * R.parse("z - 1") for f in J.generators])
+        assert krull_dimension(tangent_cone(twisted)) == d, J
+        assert krull_dimension(tangent_cone(translated)) == d, J
+        assert krull_dimension(translated) == max(d, 2)
+        checked += d < 2
+    assert checked >= 5
+
+
+def test_tangent_cone_of_a_plane_and_a_line():
+    # the plane z = 1 and the line x = y = 0: dimension 2 globally, the regular line at 0
+    R = PolyRing.make(3, ["x", "y", "z"])
+    J = Ideal(R, [R.parse("x*z - x"), R.parse("y*z - y")])
+    assert ideal_equals(tangent_cone(J), Ideal(R, [R.parse("x"), R.parse("y")]))
+    assert (krull_dimension(J), krull_dimension(tangent_cone(J))) == (2, 1)
 
 
 def test_exact_division_failure_is_distinct():

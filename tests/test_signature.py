@@ -130,6 +130,16 @@ def test_signature_sequence_dimension_override():
     assert rep.rows[0].s_e == Fraction(2, 27)
 
 
+def test_twisted_cubic_reaches_e3_at_the_default_caps():
+    # the basis cap counts the live minimal basis, so b_3 = (J^[27] : J) builds
+    # within DEFAULT_MAX_BASIS; a_e = q^2/3
+    R = PolyRing.make(3, ["x", "y", "z", "w"])
+    J = Ideal(R, [R.parse("x*z - y^2"), R.parse("x*w - y*z"), R.parse("y*w - z^2")])
+    rep = signature_sequence(QuotientSystem(R, J), 3)
+    assert [r.a_e for r in rep.rows] == [3, 27, 243]
+    assert rep.d == 2 and not rep.partial
+
+
 def test_signature_sequence_trivial_is_one():
     for p in (2, 3, 5):
         _, triv = trivial_system(p)
