@@ -164,7 +164,43 @@ def buchberger(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_basis: int = DEFAULT_MAX_BASIS,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis by Buchberger's algorithm, under the ring's order.
+    """Reduced Groebner basis under the ring's order: _minimal_basis, then _reduce_basis.
+
+    Monomial generators are only minimalized, with no reduction pass.  The
+    caps raise ResourceLimitError, never truncate.  Deterministic for a fixed input.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise ValueError("buchberger needs at least one non-zero generator; use GroebnerBasis(ring, []) for the zero ideal")
+    ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
+        raise ValueError("generators live in different rings")
+    if all(g.is_monomial() for g in gens):
+        # monomial ideals are their own reduced basis after minimalization
+        mins = minimal_monomials(m for g in gens for m in g.terms)
+        return GroebnerBasis(ring, [ring.monomial(m) for m in mins])
+    return _reduce_basis(ring, _minimal_basis(ring, gens, max_pairs, max_basis))
+
+
+def eliminate(ring: PolyRing, gens: Sequence[Polynomial]) -> GroebnerBasis:
+    """Reduced basis of (gens) cap ring, for gens in ring.extended(): t eliminated.
+
+    Under the block order a lead of t-degree 0 makes its whole element t-free,
+    so the minimal elements with such leads are a minimal basis of the
+    elimination ideal (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    3.1).  Only they are projected into ring and reduced, which gives the
+    same reduced basis as the t-free part of buchberger(gens), at its caps.
+    """
+    ext = ring.extended()
+    if any(g.ring != ext for g in gens):
+        raise ValueError("eliminate: generators outside ring.extended()")
+    lead = _minimal_basis(ext, [g for g in gens if not g.is_zero()], DEFAULT_MAX_PAIRS, DEFAULT_MAX_BASIS)
+    kept = [(lm[1:], Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, reduce=False)) for lm, g in lead if not lm[0]]
+    return _reduce_basis(ring, kept)
+
+
+def _minimal_basis(ring: PolyRing, gens: List[Polynomial], max_pairs: int, max_basis: int) -> List[Tuple[Exponents, Polynomial]]:
+    """Minimal Groebner basis of the non-zero gens: monic (lead, g) pairs by increasing lead.
 
     Gebauer-Moeller update (J. Symbolic Comput. 6, 1988), once per inserted h:
     queue one pair (g, h) per minimal lcm, none whose lcm a coprime pair has
@@ -172,23 +208,9 @@ def buchberger(
     neither of its lcms with h (criterion B); drop each live element whose lead
     lm(h) divides, so the live reducers stay a minimal basis (generators go in
     by decreasing lead).  Normal selection (smallest lcm, then indices) off a
-    heap that skips deleted pairs.  Caps on pairs reduced and live elements
-    raise ResourceLimitError, never truncate.  Deterministic for a fixed input.
+    heap that skips deleted pairs.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("buchberger needs at least one non-zero generator; use GroebnerBasis(ring, []) for the zero ideal")
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators live in different rings")
     key = ring.order.key
-
-    if all(g.is_monomial() for g in gens):
-        # monomial ideals are their own reduced basis after minimalization
-        mins = minimal_monomials(m for g in gens for m in g.terms)
-        return GroebnerBasis(ring, [ring.monomial(m) for m in mins])
-
     elems: List[Tuple[Exponents, Polynomial]] = []  # every inserted element, by index
     live: List[int] = []  # indices of the minimal basis, in insertion order
     pending: Dict[Tuple[int, int], Exponents] = {}  # queued pairs not deleted, with their lcm
@@ -234,7 +256,7 @@ def buchberger(
         if len(live) > max_basis:
             raise ResourceLimitError(f"basis cap {max_basis} exceeded", pairs_done, len(live))
 
-    return _reduce_basis(ring, sorted((elems[k] for k in live), key=lambda pair: key(pair[0])))
+    return sorted((elems[k] for k in live), key=lambda pair: key(pair[0]))
 
 
 def _reduce_basis(ring: PolyRing, lead: List[Tuple[Exponents, Polynomial]]) -> GroebnerBasis:

@@ -8,8 +8,11 @@ exact for a unit operand (no Buchberger run is spent ruling one out):
 * box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
   standard monomials, on the rank route's rows (_linalg.box_rows), yielding
   the reduced Groebner basis directly; covers m^[q] and the unit ideal
-* anything else              -> auxiliary-variable elimination (the reference
-  path; tests call _colon_elimination directly to cross-check the others)
+* anything else              -> _colon_elimination, the intersection over f
+  in J of (1/f)(I cap <f>) (the reference path; tests call it directly)
+
+Intersections and the tangent cone eliminate an auxiliary variable with
+groebner.eliminate, which reduces only the basis elements it keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     InternalInvariantError,
-    buchberger,
+    eliminate,
     minimal_monomials,
     pure_power_box,
 )
@@ -109,31 +112,17 @@ def intersection(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J as the t-free part of the reduced basis of t*I + (1-t)*J.
-
-    The extended ring's block order eliminates t, so by the elimination
-    theorem the t-free elements of its reduced basis are the reduced basis of
-    I cap J under the ring's order (their leads are compared by that order
-    alone, and they stay monic, minimal and mutually reduced).  The result
-    carries that basis, so later basis queries run no second Buchberger.
-    """
+    """I cap J by eliminating t from t*I + (1-t)*J; the result carries its reduced basis."""
     ring = I.ring
     ext = ring.extended()
     t = ext.variable(ext.variables[0])
-    one = ext.one()
 
     def lift(f: Polynomial) -> Polynomial:
         return Polynomial(ext, {(0,) + m: c for m, c in f.terms.items()}, reduce=False)
 
-    gens = [t * lift(g) for g in I.generators]
-    gens += [(one - t) * lift(g) for g in J.generators]
-    gb = buchberger(gens)
-    out = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            out.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, reduce=False))
-    result = Ideal(ring, out)
-    result.set_groebner_basis(GroebnerBasis(ring, out))
+    gb = eliminate(ring, [t * lift(g) for g in I.generators] + [(ext.one() - t) * lift(g) for g in J.generators])
+    result = Ideal(ring, gb.elements)
+    result.set_groebner_basis(gb)
     return result
 
 
@@ -141,8 +130,9 @@ def tangent_cone(I: Ideal) -> Ideal:
     """The lowest-degree forms of I: S over them has the dimension of S/I at 0.
 
     Each generator f becomes f(t*x)/t^{ord f} in S[t], saturated by t (u
-    eliminated from them and 1 - u*t), at t = 0 (Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, 5.5).  A homogeneous ideal skips it.
+    eliminated from them and 1 - u*t over S[t]), at t = 0 (Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, 5.5).  A homogeneous ideal
+    skips it.
     """
     ring = I.ring
     if all(len({sum(m) for m in g.terms}) == 1 for g in I.groebner_basis()):
@@ -151,8 +141,8 @@ def tangent_cone(I: Ideal) -> Ideal:
     lows = [min(map(sum, g.terms)) for g in I.generators]
     gens = [Polynomial(sat, {(0, sum(m) - low) + m: c for m, c in g.terms.items()}) for g, low in zip(I.generators, lows)]
     gens.append(sat.one() - sat.monomial((1, 1) + (0,) * ring.nvars))
-    forms = [g for g in buchberger(gens) if not any(m[0] for m in g.terms)]
-    return Ideal(ring, [Polynomial(ring, {m[2:]: c for m, c in g.terms.items() if not m[1]}) for g in forms])
+    saturated = eliminate(ring.extended(), gens)
+    return Ideal(ring, [Polynomial(ring, {m[1:]: c for m, c in g.terms.items() if not m[0]}) for g in saturated])
 
 
 # -- exact division -----------------------------------------------------
@@ -248,6 +238,8 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     past the box) carries label column ~k.  When it depends linearly on the
     rows of the smaller standard monomials, the echelon leaves exactly its
     labels: the reduced-basis element m - sum(c_b * b), monic and led by m.
+    A standard m pushes m + e_i for i at or past its last non-zero index, so
+    c is pushed once, by c - e_last(c), with no record of what was pushed.
     Terminates because I is zero-dimensional, and the emitted elements form
     the reduced basis of the colon because their tails only involve its
     standard monomials (the only labels pivots hold).
@@ -258,11 +250,7 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     row, _ = _linalg.box_rows(box, [f.terms for f in J.generators])
 
     ech = _linalg.Echelon(ring.p)
-    heap: List[Tuple[object, Exponents]] = []
-    seen = set()
-    one = (0,) * n
-    heapq.heappush(heap, (order.key(one), one))
-    seen.add(one)
+    heap: List[Tuple[object, Exponents]] = [(order.key((0,) * n), (0,) * n)]
     standard = set()  # candidates confirmed standard so far
     labels: List[Exponents] = []  # candidate k has label column ~k
     gb_elems: List[Polynomial] = []
@@ -278,11 +266,10 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
         labels.append(m)
         if ech.insert(vec):
             standard.add(m)
-            for i in range(n):
-                cand = tuple(m[k] + (1 if k == i else 0) for k in range(n))
-                if cand not in seen:
-                    seen.add(cand)
-                    heapq.heappush(heap, (order.key(cand), cand))
+            last = max((i for i in range(n) if m[i]), default=0)
+            for i in range(last, n):
+                cand = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                heapq.heappush(heap, (order.key(cand), cand))
         else:
             gb_elems.append(Polynomial(ring, {labels[~k]: c for k, c in vec.items()}, reduce=False))
 

@@ -17,11 +17,11 @@ operation and that cost dominated clipping:
 * the triangulation picks each face's facets by incidence alone: the
   vertices tight at one more halfspace, kept when no other such set
   contains them (a facet is an inclusion-maximal proper face);
-* the triangulation keeps each simplex as integer points beside its
-  Fraction points (vertex numerators over den, a centroid of k vertices as
-  coordinate sums over k*den), and the volume scales each simplex to its
-  common denominator, takes one `_bareiss` determinant, and sums the
-  determinants per denominator, making one Fraction per distinct one.
+* the triangulation builds each simplex as integer points only (vertex
+  numerators over den, a centroid of k vertices as coordinate sums over
+  k*den), and the volume scales each simplex to its common denominator,
+  takes one `_bareiss` determinant, and sums the determinants per
+  denominator, making one Fraction per distinct one.
 
 The facet search of `newton_polyhedron` is integer too: a candidate normal is
 the kernel of a rank-n n x (n+1) integer system, its vector of signed maximal
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -175,15 +175,18 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
 class ClippedPolytope:
     """t*P intersected with the unit cube: halfspaces, vertices, triangulation.
 
-    int_simplices holds the same simplices as integer points (numerators,
-    denominator); it is derived data, left out of equality and repr.
+    int_simplices holds each simplex as integer points (numerators,
+    denominator); simplices reads them as Fraction points.
     """
 
     nvars: int
     halfspaces: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
     vertices: Tuple[Vector, ...]
-    simplices: Tuple[Tuple[Vector, ...], ...]
-    int_simplices: Tuple[Tuple[IntPoint, ...], ...] = field(compare=False, repr=False)
+    int_simplices: Tuple[Tuple[IntPoint, ...], ...]
+
+    @property
+    def simplices(self) -> Tuple[Tuple[Vector, ...], ...]:
+        return tuple(tuple(tuple(Fraction(x, d) for x in nums) for nums, d in s) for s in self.int_simplices)
 
     def volume(self) -> Fraction:
         """Sum of |det| / n! over the simplices, one Fraction per common denominator."""
@@ -249,41 +252,29 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
     vertices = tuple(tuple(Fraction(x, den) for x in pt) for pt in points)
 
     if len(vertices) <= n or _affine_rank(points) < n:
-        return ClippedPolytope(n, halfspaces, vertices, (), ())
-
-    pairs = _star_triangulation(vertices, points, den, [inc for _, inc in scaled], n)
-    return ClippedPolytope(
-        n, halfspaces, vertices, tuple(s for s, _ in pairs), tuple(s for _, s in pairs)
-    )
+        return ClippedPolytope(n, halfspaces, vertices, ())
+    return ClippedPolytope(n, halfspaces, vertices, _star_triangulation(points, den, [inc for _, inc in scaled], n))
 
 
 def _star_triangulation(
-    vertices: Sequence[Vector],
-    points: Sequence[Tuple[int, ...]],
-    den: int,
-    incidences: Sequence[frozenset],
-    dim: int,
-) -> List[Tuple[Tuple[Vector, ...], Tuple[IntPoint, ...]]]:
+    points: Sequence[Tuple[int, ...]], den: int, incidences: Sequence[frozenset], dim: int
+) -> Tuple[Tuple[IntPoint, ...], ...]:
     """Cone from the face centroid over recursively triangulated subfaces.
 
-    points[i] is vertices[i] times den, and incidences[i] the halfspace
+    points[i] is the i-th vertex times den, and incidences[i] the halfspace
     indices tight at it.  A face is a sorted tuple of vertex indices.  Its
     vertices tight at one more halfspace form a proper face or the whole
     face; its facets are the inclusion-maximal proper ones, taken in the
-    order of the first halfspace that cuts each out.
-    Each simplex comes twice: as Fraction points and as integer points, a
-    vertex as its numerators over den and a centroid of k vertices as their
-    coordinate sums over k * den.
+    order of the first halfspace that cuts each out.  A simplex is a tuple of
+    integer points: a vertex as its numerators over den, a centroid of k
+    vertices as their coordinate sums over k * den.
     """
 
     def recurse(face: Tuple[int, ...], tight: frozenset, d: int):
         if d == 1:  # an edge: its two end vertices, first and last in sorted order
-            a, b = face[0], face[-1]
-            return [((vertices[a], vertices[b]), ((points[a], den), (points[b], den)))]
+            return [((points[face[0]], den), (points[face[-1]], den))]
         k = len(face)
-        sums = tuple(map(sum, zip(*(points[v] for v in face))))
-        c = tuple(Fraction(s, k * den) for s in sums)
-        ci = (sums, k * den)
+        c = (tuple(map(sum, zip(*(points[v] for v in face)))), k * den)
         # proper subfaces, each with the first halfspace that cuts it out
         subs: Dict[Tuple[int, ...], int] = {}
         for idx in sorted(frozenset().union(*(incidences[v] for v in face)) - tight):
@@ -296,11 +287,11 @@ def _star_triangulation(
             # the facets of a face are its inclusion-maximal proper faces
             if any(s < other for other in sets):
                 continue
-            for simplex, ints in recurse(sub, tight | {idx}, d - 1):
-                out.append(((c,) + simplex, (ci,) + ints))
+            for simplex in recurse(sub, tight | {idx}, d - 1):
+                out.append((c,) + simplex)
         return out
 
-    return recurse(tuple(range(len(vertices))), frozenset(), dim)
+    return tuple(recurse(tuple(range(len(points))), frozenset(), dim))
 
 
 def clip_and_volume(P: NewtonPolyhedron, t) -> Fraction:

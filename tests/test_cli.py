@@ -292,6 +292,19 @@ def test_methods_print_identical_output(path, capsys):
         assert outputs[2] == outputs[0]
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.fsig")),
+    ids=lambda path: path.stem,
+)
+def test_problem_output_matches_golden(path, capsysbinary):
+    # tests/golden holds each shipped problem's stdout at default settings
+    golden = Path(__file__).resolve().parent / "golden"
+    for fmt, suffix in (([], ".txt"), (["--json"], ".json")):
+        assert main([str(path), *fmt]) == 0
+        assert capsysbinary.readouterr().out == (golden / (path.stem + suffix)).read_bytes()
+
+
 def test_ceiling_convention_flag_changes_levels(tmp_path, capsys):
     base = "p = 3\nvars = x, y, z\nsystem = pair { a = [z], t = 1/2 }\nmode = signature\nemax = 1\n"
     default_file = tmp_path / "d.fsig"

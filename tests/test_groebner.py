@@ -10,6 +10,7 @@ from fsig.groebner import (
     Ideal,
     ResourceLimitError,
     buchberger,
+    eliminate,
     ideal_membership,
     krull_dimension,
     normal_form,
@@ -214,6 +215,25 @@ def _random_poly(rng, ring, max_terms, max_deg):
         mono = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
         terms[mono] = rng.randint(1, ring.p - 1)
     return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("inner", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_eliminate_is_the_t_free_part_of_buchberger_randomized(p, inner):
+    # reducing only the minimal elements with t-free leads gives the t-free
+    # part of the full reduced basis, projected; over R[t] and over R[t0][t]
+    rng = random.Random(2100 + p)
+    kept = dropped = 0
+    for _ in range(20):
+        R = PolyRing.make(p, ["x", "y"][: rng.randint(1, 2)], inner)
+        for base in (R, R.extended()):
+            gens = [_random_poly(rng, base.extended(), 3, 2) for _ in range(rng.randint(1, 3))]
+            gb = buchberger(gens)
+            want = [Polynomial(base, {m[1:]: c for m, c in g.terms.items()}) for g in gb if not any(m[0] for m in g.terms)]
+            assert eliminate(base, gens) == GroebnerBasis(base, want), gens
+            kept += bool(want)
+            dropped += len(want) < len(gb)
+    assert kept >= 16 and dropped >= 16
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

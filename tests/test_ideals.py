@@ -17,7 +17,7 @@ from fsig.ideals import (
     tangent_cone,
 )
 from fsig.ideals import _colon_elimination, _intersection_elimination
-from fsig.poly import PolyRing, Polynomial
+from fsig.poly import DEGREVLEX, LEX, PolyRing, Polynomial
 
 
 def ring3(p=3):
@@ -241,33 +241,36 @@ def test_colon_product_containment_randomized(p):
         for g in Q.generators:
             for f in J.generators:
                 assert ideal_membership(g * f, I)
-    # box ideal I = <x^a, y^b>: the linear route over box_rows against elimination
-    R = PolyRing.make(p, ["x", "y"])
-    for _ in range(8):
-        I = Ideal(R, [R.monomial((rng.randint(1, 4), 0)), R.monomial((0, rng.randint(1, 4)))])
-        J_gens, count = [], rng.randint(1, 2)
-        while len(J_gens) < count:
-            f = _random_poly(rng, R, max_terms=3)
-            if len(f.terms) > 1:
-                J_gens.append(f)
-        J = Ideal(R, J_gens)
-        assert ideal_equals(colon(I, J), _colon_elimination(I, J))
-    # three variables and up to three generators of J, so that a dependent row
-    # reduces through several pivots and its remainder spans several labels;
-    # J has no constant term, since such a generator is a unit modulo I
-    R = PolyRing.make(p, ["x", "y", "z"])
+    # box ideals in every term order, since the colon walk's parent rule
+    # (m + e_i for i at or past m's last non-zero index) is divisibility-based
     squarefree = [m for m in itertools.product((0, 1), repeat=3) if any(m)]
-    widest = 0
-    for _ in range(8):
-        I = Ideal(R, [R.monomial(tuple(rng.randint(2, 5) * (i == k) for i in range(3))) for k in range(3)])
-        J = Ideal(R, [
-            Polynomial(R, {m: rng.randint(1, p - 1) for m in rng.sample(squarefree, rng.randint(2, 4))})
-            for _ in range(rng.randint(1, 3))
-        ])
-        Q = colon(I, J)
-        assert ideal_equals(Q, _colon_elimination(I, J)), (I, J)
-        widest = max(widest, *(len(g.terms) for g in Q.generators))
-    assert widest >= 3
+    for order in (DEGREVLEX, LEX):
+        # I = <x^a, y^b>: the linear route over box_rows against elimination
+        R = PolyRing.make(p, ["x", "y"], order)
+        for _ in range(8):
+            I = Ideal(R, [R.monomial((rng.randint(1, 4), 0)), R.monomial((0, rng.randint(1, 4)))])
+            J_gens, count = [], rng.randint(1, 2)
+            while len(J_gens) < count:
+                f = _random_poly(rng, R, max_terms=3)
+                if len(f.terms) > 1:
+                    J_gens.append(f)
+            J = Ideal(R, J_gens)
+            assert ideal_equals(colon(I, J), _colon_elimination(I, J))
+        # three variables and up to three generators of J, so that a dependent row
+        # reduces through several pivots and its remainder spans several labels;
+        # J has no constant term, since such a generator is a unit modulo I
+        R = PolyRing.make(p, ["x", "y", "z"], order)
+        widest = 0
+        for _ in range(8):
+            I = Ideal(R, [R.monomial(tuple(rng.randint(2, 5) * (i == k) for i in range(3))) for k in range(3)])
+            J = Ideal(R, [
+                Polynomial(R, {m: rng.randint(1, p - 1) for m in rng.sample(squarefree, rng.randint(2, 4))})
+                for _ in range(rng.randint(1, 3))
+            ])
+            Q = colon(I, J)
+            assert ideal_equals(Q, _colon_elimination(I, J)), (I, J)
+            widest = max(widest, *(len(g.terms) for g in Q.generators))
+        assert widest >= 3
 
 
 def test_intersection_commutative_idempotent():
