@@ -3,25 +3,25 @@
 Everything here is exact.  Facet normals are primitive integer vectors.  The
 values a caller sees stay Fractions: the halfspaces, vertices and simplex
 points of a ClippedPolytope and every volume.  The clipped-volume pipeline
-follows halfspace -> vertex enumeration (feasible n-subsets) -> star
-triangulation from the face centroids -> determinant sums, and its inner
-loops run on Python ints, because a Fraction normalises by a gcd after every
-operation and that cost dominated clipping:
+follows halfspace -> box-aware vertex enumeration -> pulling triangulation ->
+determinant sums, and its inner loops run on Python ints, because a Fraction
+normalises by a gcd after every operation and that cost dominated clipping:
 
 * clip clears t's denominator once, so each halfspace is an integer pair
   (a, b) meaning a.u >= b;
-* each n-subset is solved by one fraction-free Gauss-Jordan pass
-  (`_solve_int`), giving a vertex as gcd-reduced (numerators, den);
-  feasibility and tightness are integer tests a.num >= b*den, and the
-  tight halfspaces are kept as the vertex's incidence;
-* the triangulation picks each face's facets by incidence alone: the
-  vertices tight at one more halfspace, kept when no other such set
-  contains them (a facet is an inclusion-maximal proper face);
-* the triangulation builds each simplex as integer points only (vertex
-  numerators over den, a centroid of k vertices as coordinate sums over
-  k*den), and the volume scales each simplex to its common denominator,
-  takes one `_bareiss` determinant, and sums the determinants per
-  denominator, making one Fraction per distinct one.
+* a vertex of the clip has k facets of t*P tight and its other n - k
+  coordinates at 0 or 1, so only the k x k system of the k facets on the k
+  free coordinates is solved, by one fraction-free Gauss-Jordan pass
+  (`_solve_int`), giving the vertex as gcd-reduced (numerators, den);
+  feasibility and tightness are integer tests a.num >= b*den against every
+  halfspace, and the tight halfspaces are kept as the vertex's incidence;
+* the pulling triangulation (De Loera, Rambau and Santos, Triangulations,
+  section 4.3) cones each face from its first vertex over its facets that
+  miss that vertex, each face triangulated once; a face's facets come from
+  incidence alone: the vertices tight at one more halfspace, kept when no
+  other such set contains them (a facet is an inclusion-maximal proper face);
+* every simplex point is a vertex, numerators over the one common den, so the
+  volume is one `_bareiss` determinant per simplex, summed, over n! * den^n.
 
 The facet search of `newton_polyhedron` is integer too: a candidate normal is
 the kernel of a rank-n n x (n+1) integer system, its vector of signed maximal
@@ -175,8 +175,9 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
 class ClippedPolytope:
     """t*P intersected with the unit cube: halfspaces, vertices, triangulation.
 
-    int_simplices holds each simplex as integer points (numerators,
-    denominator); simplices reads them as Fraction points.
+    int_simplices is a pulling triangulation: each simplex is a tuple of
+    vertices as integer points (numerators, den), over the one den common to
+    all vertices; simplices reads them as Fraction points.
     """
 
     nvars: int
@@ -189,30 +190,18 @@ class ClippedPolytope:
         return tuple(tuple(tuple(Fraction(x, d) for x in nums) for nums, d in s) for s in self.int_simplices)
 
     def volume(self) -> Fraction:
-        """Sum of |det| / n! over the simplices, one Fraction per common denominator."""
-        n = self.nvars
-        dets: Dict[int, int] = {}  # common denominator L -> summed |det| at scale L
-        for simplex in self.int_simplices:
-            den = math.lcm(*(d for _, d in simplex))
-            pts = [[x * (den // d) for x in nums] for nums, d in simplex]
-            base = pts[0]
-            rank, det = _bareiss([[a - b for a, b in zip(pt, base)] for pt in pts[1:]])
-            if rank == n:
-                dets[den] = dets.get(den, 0) + abs(det)
-        total = sum((Fraction(v, d**n) for d, v in dets.items()), Fraction(0))
-        return total / math.factorial(n)
-
-
-def _affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Affine rank of integer points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return _bareiss([[a - b for a, b in zip(pt, base)] for pt in points[1:]])[0]
+        """Sum of |det| / (n! * den^n) over the simplices."""
+        if not self.int_simplices:
+            return Fraction(0)
+        n, den, total = self.nvars, self.int_simplices[0][0][1], 0
+        for (base, _), *rest in self.int_simplices:
+            rank, det = _bareiss([[a - b for a, b in zip(pt, base)] for pt, _ in rest])
+            total += abs(det) if rank == n else 0
+        return Fraction(total, math.factorial(n) * den**n)
 
 
 def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
-    """Vertices and star triangulation of t*P cut to [0,1]^n."""
+    """Vertices and pulling triangulation of t*P cut to [0,1]^n."""
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -221,28 +210,33 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
         raise ValueError(f"dimension {n} exceeds the cap {DIMENSION_CAP}")
     # every halfspace times t's denominator: integer (a, b) meaning a.u >= b
     td = t.denominator
-    int_halfspaces = [(tuple(td * x for x in a), t.numerator * c) for a, c in P.facets]
+    facets = [(tuple(td * x for x in a), t.numerator * c) for a, c in P.facets]
+    int_halfspaces = list(facets)
     for i in range(n):
         e = tuple(td if j == i else 0 for j in range(n))
         int_halfspaces += [(e, 0), (tuple(-x for x in e), -td)]
     halfspaces = tuple((tuple(Fraction(x, td) for x in a), Fraction(b, td)) for a, b in int_halfspaces)
 
-    # (numerators, den) -> the halfspaces tight there, or None when infeasible
+    # (numerators, den) -> the halfspaces tight there, or None when infeasible.
+    # A vertex has k facets tight and its other n - k coordinates at 0 or 1, so
+    # only the k x k system of those facets on the k free coordinates is solved.
     incidence: Dict[Tuple[Tuple[int, ...], int], Optional[frozenset]] = {}
-    for combo in itertools.combinations(int_halfspaces, n):
-        sol = _solve_int([a for a, _ in combo], [b for _, b in combo])
-        if sol is None or sol in incidence:
-            continue
-        nums, d = sol
-        tight: Optional[List[int]] = []
-        for idx, (a, b) in enumerate(int_halfspaces):
-            lhs = sum(x * u for x, u in zip(a, nums))
-            if lhs < b * d:
-                tight = None
-                break
-            if lhs == b * d:
-                tight.append(idx)
-        incidence[sol] = None if tight is None else frozenset(tight)
+    for k in range(min(n, len(facets)) + 1):
+        for combo in itertools.combinations(facets, k):
+            for free in itertools.combinations(range(n), k):
+                fixed = tuple(i for i in range(n) if i not in free)
+                rows = [[a[i] for i in free] for a, _ in combo]
+                for values in itertools.product((0, 1), repeat=n - k):
+                    sol = _solve_int(rows, [b - sum(a[i] for i, v in zip(fixed, values) if v) for a, b in combo])
+                    if sol is None:
+                        break  # the rows are singular whatever the fixed values
+                    nums, d = [0] * n, sol[1]
+                    for i, x in zip(free + fixed, sol[0] + tuple(v * d for v in values)):
+                        nums[i] = x
+                    sol = (tuple(nums), d)
+                    if sol not in incidence:
+                        slack = [sum(x * u for x, u in zip(a, nums)) - b * d for a, b in int_halfspaces]
+                        incidence[sol] = None if min(slack) < 0 else frozenset(i for i, s in enumerate(slack) if s == 0)
 
     # scaled to one common denominator, integer points sort like the vertices
     feasible = [(sol, inc) for sol, inc in incidence.items() if inc is not None]
@@ -251,47 +245,43 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
     points = [pt for pt, _ in scaled]
     vertices = tuple(tuple(Fraction(x, den) for x in pt) for pt in points)
 
-    if len(vertices) <= n or _affine_rank(points) < n:
+    if len(vertices) <= n or _bareiss([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]])[0] < n:
         return ClippedPolytope(n, halfspaces, vertices, ())
-    return ClippedPolytope(n, halfspaces, vertices, _star_triangulation(points, den, [inc for _, inc in scaled], n))
+    simplices = _pulling_triangulation([inc for _, inc in scaled], n)
+    return ClippedPolytope(n, halfspaces, vertices, tuple(tuple((points[v], den) for v in s) for s in simplices))
 
 
-def _star_triangulation(
-    points: Sequence[Tuple[int, ...]], den: int, incidences: Sequence[frozenset], dim: int
-) -> Tuple[Tuple[IntPoint, ...], ...]:
-    """Cone from the face centroid over recursively triangulated subfaces.
+def _pulling_triangulation(incidences: Sequence[frozenset], dim: int) -> List[Tuple[int, ...]]:
+    """Each face coned from its first vertex over its facets that miss it.
 
-    points[i] is the i-th vertex times den, and incidences[i] the halfspace
-    indices tight at it.  A face is a sorted tuple of vertex indices.  Its
-    vertices tight at one more halfspace form a proper face or the whole
-    face; its facets are the inclusion-maximal proper ones, taken in the
-    order of the first halfspace that cuts each out.  A simplex is a tuple of
-    integer points: a vertex as its numerators over den, a centroid of k
-    vertices as their coordinate sums over k * den.
+    incidences[i] is the set of halfspace indices tight at vertex i, and a face
+    is a sorted tuple of vertex indices.  Its vertices tight at one more
+    halfspace form a proper face or the whole face; its facets are the
+    inclusion-maximal proper ones.  A face's triangulation does not depend on
+    the face it was reached from, so each is built once.  A simplex is a tuple
+    of vertex indices.
     """
+    memo: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
 
-    def recurse(face: Tuple[int, ...], tight: frozenset, d: int):
+    def recurse(face: Tuple[int, ...], d: int) -> List[Tuple[int, ...]]:
         if d == 1:  # an edge: its two end vertices, first and last in sorted order
-            return [((points[face[0]], den), (points[face[-1]], den))]
-        k = len(face)
-        c = (tuple(map(sum, zip(*(points[v] for v in face)))), k * den)
-        # proper subfaces, each with the first halfspace that cuts it out
-        subs: Dict[Tuple[int, ...], int] = {}
-        for idx in sorted(frozenset().union(*(incidences[v] for v in face)) - tight):
+            return [(face[0], face[-1])]
+        if face in memo:
+            return memo[face]
+        apex, k = face[0], len(face)
+        subs = {}  # proper subfaces; a halfspace tight on the whole face gives the face
+        for idx in sorted(frozenset().union(*(incidences[v] for v in face))):
             sub = tuple(v for v in face if idx in incidences[v])
             if len(sub) < k:
-                subs.setdefault(sub, idx)
-        sets = [frozenset(sub) for sub in subs]
-        out = []
-        for (sub, idx), s in zip(subs.items(), sets):
+                subs[sub] = frozenset(sub)
+        out = memo[face] = []
+        for sub, s in subs.items():
             # the facets of a face are its inclusion-maximal proper faces
-            if any(s < other for other in sets):
-                continue
-            for simplex in recurse(sub, tight | {idx}, d - 1):
-                out.append((c,) + simplex)
+            if sub[0] != apex and not any(s < other for other in subs.values()):
+                out.extend((apex,) + simplex for simplex in recurse(sub, d - 1))
         return out
 
-    return tuple(recurse(tuple(range(len(points))), frozenset(), dim))
+    return recurse(tuple(range(len(incidences))), dim)
 
 
 def clip_and_volume(P: NewtonPolyhedron, t) -> Fraction:

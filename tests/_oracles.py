@@ -4,8 +4,9 @@ Nothing here calls the Groebner engine, the echelon backends, or the polytope
 pipeline: reduced bases come from a textbook Buchberger with no pair criterion,
 membership and lengths go through dense Macaulay-style elimination
 on integer lists, areas through the shoelace formula, 3-D volumes through
-exact integration of slice areas, powers through repeated multiplication on
-plain dicts.
+exact integration of slice areas, one-halfspace cube volumes through
+inclusion-exclusion over the cube's vertices, powers through repeated
+multiplication on plain dicts.
 """
 
 from __future__ import annotations
@@ -461,6 +462,28 @@ def slice_volume_3d(facets: Sequence[Tuple[Tuple[int, ...], int]], t) -> Fractio
         ),
         Fraction(0),
     )
+
+
+def one_facet_volume(a: Sequence[Fraction], b) -> Fraction:
+    """Exact volume of {u in [0, 1]^n : a.u >= b} for a >= 0, a != 0.
+
+    With m = |supp a|, the volume of a.u <= b over the cube is
+    sum over S in supp a of (-1)^|S| (b - sum_S a_i)_+^m / (m! prod_supp a_i):
+    inclusion-exclusion of the simplex {a.u <= b, u >= 0} over the vertices
+    of the cube, and the coordinates off the support contribute a factor 1.
+    """
+    b = Fraction(b)
+    support = [Fraction(x) for x in a if x]
+    m = len(support)
+    below = sum(
+        (
+            (-1) ** len(S) * max(b - sum(S, Fraction(0)), Fraction(0)) ** m
+            for r in range(m + 1)
+            for S in itertools.combinations(support, r)
+        ),
+        Fraction(0),
+    )
+    return 1 - below / (math.factorial(m) * math.prod(support))
 
 
 def brute_lattice_count(

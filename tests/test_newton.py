@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fsig.newton import (
+    DIMENSION_CAP,
     clip,
     clip_and_volume,
     closure_membership,
@@ -14,7 +15,13 @@ from fsig.newton import (
     newton_polyhedron,
 )
 
-from _oracles import brute_lattice_count, fraction_newton_facets, shoelace_area, slice_volume_3d
+from _oracles import (
+    brute_lattice_count,
+    fraction_newton_facets,
+    one_facet_volume,
+    shoelace_area,
+    slice_volume_3d,
+)
 
 CUSP = [(3, 0), (0, 2)]
 
@@ -208,6 +215,41 @@ def test_clip_and_volume_match_slice_oracle_randomized():
             assert clip_and_volume(P, t) == slice_volume_3d(P.facets, t), (exps, t)
 
 
+def test_clip_and_volume_match_one_facet_oracle_randomized():
+    # generators d_i * e_i on a random set of axes: t*P is the one halfspace
+    # sum u_i / d_i >= t, whose cube volume has a closed form
+    rng = random.Random(1818)
+    ts = [Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(7, 4)]
+    for n in range(2, DIMENSION_CAP + 1):
+        for _ in range(3):
+            degrees = {i: rng.randint(1, 5) for i in rng.sample(range(n), rng.randint(1, n))}
+            exps = [tuple(d if j == i else 0 for j in range(n)) for i, d in degrees.items()]
+            P = newton_polyhedron(exps)
+            a = [Fraction(1, degrees[i]) if i in degrees else 0 for i in range(n)]
+            for t in rng.sample(ts, 2):
+                assert clip_and_volume(P, t) == one_facet_volume(a, t), (exps, t)
+
+
+def test_one_facet_oracle_closed_forms():
+    # the cube minus a corner simplex, one corner, a slab, the whole cube
+    assert one_facet_volume([1, 1, 1], 1) == Fraction(5, 6)
+    assert one_facet_volume([1, 1], 2) == 0
+    assert one_facet_volume([1, 0, 0], Fraction(1, 3)) == Fraction(2, 3)
+    assert one_facet_volume([2, 3], 0) == 1
+
+
+def test_clip_builds_few_simplices():
+    # a work pin without a wall clock: the pulling triangulation builds 347
+    # simplices over this sweep and 1,092 on the 6-variable clip, where
+    # coning from face centroids built one per flag of faces (2,784 and 29,280)
+    P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
+    assert sum(len(clip(P, Fraction(k, 12)).int_simplices) for k in range(13)) <= 400
+    six = newton_polyhedron([tuple(d if j == i else 0 for j in range(6)) for i, d in enumerate((2, 3, 2, 3, 4, 5))])
+    C = clip(six, Fraction(1, 2))
+    assert len(C.int_simplices) <= 1200
+    assert C.volume() == Fraction(1149360053, 1166400000)
+
+
 def test_monomial_4var_pinned_volumes():
     # values from the benchmark's pins for the monomial-4var sweep (cross-checked by qhull)
     P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
@@ -290,7 +332,7 @@ def test_volume_is_leibniz_sum_over_fraction_simplices_randomized():
 
 
 def test_clip_simplices_are_full_dimensional_randomized():
-    # every simplex of the star triangulation spans n dimensions: a subface
+    # every simplex of the pulling triangulation spans n dimensions: a subface
     # that is not a facet of its face would add a flat simplex, which
     # volume() counts as zero and so cannot show
     from _oracles import fraction_rref
@@ -298,7 +340,7 @@ def test_clip_simplices_are_full_dimensional_randomized():
     rng = random.Random(717)
     ts = [Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     checked = 0
-    for _ in range(60):
+    for _ in range(120):
         n = rng.randint(2, 4)
         exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
         if not any(map(any, exps)):

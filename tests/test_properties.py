@@ -1,9 +1,10 @@
 """Randomized property suites; each runs at least 100 cases at <= 3 variables,
 except the product suite, which checks that a_e is multiplicative over
 products of systems on disjoint variables on a fixed case list, and the
-monomial-volume suites at the end, which run 15-30 ideals in 2-4 variables
+monomial-volume suites at the end, which run 15-40 ideals in 2-4 variables
 (Blickle-Schwede-Tucker: positivity exactly below the F-pure threshold,
-monotonicity, symmetry, convexity for a principal ideal).
+monotonicity, symmetry, convexity for a principal ideal, and the lattice
+count's sandwich around q^n times the volume).
 
 The corpora stay deliberately small per case (few generators, low degree) so
 the whole module runs in well under a minute; seeds are fixed so failures are
@@ -347,3 +348,19 @@ def test_volume_convex_for_single_monomial():
     cusp = newton_polyhedron([(3, 0), (0, 2)])
     values = [clip_and_volume(cusp, Fraction(k, 12)) for k in range(0, 3)]
     assert _second_differences(values) == [Fraction(-1, 24)]
+
+
+def test_lattice_count_sandwiches_the_volume():
+    # facet normals are nonnegative, so the clipped region U is an up-set of
+    # [0, 1]^n: the unit cell above a lattice point of [0, q-1]^n in q*U lies
+    # in q*U, and the top corner of a cell that meets q*U is in q*U, so
+    # q^n vol <= count <= q^n vol + (q+1)^n - q^n (the points on the top faces)
+    rng = random.Random(1010)
+    for _ in range(40):
+        nvars = rng.randint(2, 3)
+        P = newton_polyhedron(_random_monomial_exponents(rng, nvars))
+        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+            vol = clip_and_volume(P, t)
+            for q in range(1, 10):
+                count = lattice_count(P, t, q)
+                assert q**nvars * vol <= count <= q**nvars * vol + (q + 1) ** nvars - q**nvars, (P.generators, t, q)
