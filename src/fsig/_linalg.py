@@ -8,9 +8,10 @@ d.  The rank route's descent lifts the previous level's pivot cells by p; a
 level with no descent lifts every cell of the previous level's box by p,
 which is the whole box [0, q)^n.  When every generator f_j is homogeneous
 for a torus grading W (torus_grading, the integer kernel of the differences
-of f_j's exponents), the row of cell g writes only columns t of f_j with
-W*t - W*m_j = W*g: the matrix is block diagonal in W*g, its rank the sum of
-the block ranks, and blocks walks it block by block.  A vector is a dict
+of f_j's exponents, read off one pass of newton._bareiss), the row of cell g
+writes only columns t of f_j with W*t - W*m_j = W*g: the matrix is block
+diagonal in W*g, its rank the sum of the block ranks, and blocks walks it
+block by block.  A vector is a dict
 mapping column index to a nonzero coefficient in [1, p); the zero vector is
 the empty dict.  A row holds one entry per generator term landing in the
 box, out of #gens * |box| columns, so a sparse row costs what it holds.
@@ -29,7 +30,7 @@ from itertools import groupby, product
 from operator import itemgetter, lt, mul, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .newton import _bareiss, _solve_int
+from .newton import _bareiss, _reduced
 
 Row = Dict[int, int]
 BLOCK_LIFTS = 256  # blocks(): consecutive degrees merge into one block until it holds this many lifts
@@ -39,26 +40,17 @@ Block = Iterator[Tuple[int, Row]]  # (cell index, row), in cell order
 def torus_grading(groups: Iterable[Sequence[Tuple[int, ...]]], n: int) -> List[Tuple[int, ...]]:
     """Integer rows W spanning the vectors orthogonal to every difference of two exponents of one group.
 
-    Every group (one generator's exponents) then has a single W-degree.  Each
-    independent difference found recomputes W: with pivot columns P of the
-    differences D so far, each free column f gives the vector that is den at
-    f and x on P, where D_P x = -den * D_f (_solve_int).  No difference
-    leaves the unit rows; differences of rank n leave [], a single degree.
+    Every group (one generator's exponents) then has a single W-degree.  The
+    differences are eliminated once (_bareiss): with pivot columns P, reduced
+    rows R and last pivot den, each free column f gives the primitive row that
+    is den at f and -R[i][f] at P[i], positive at f.  No difference leaves the
+    unit rows; differences of rank n leave [], a single degree.
     """
-    diffs: List[Tuple[int, ...]] = []
-    W = [tuple(int(i == k) for k in range(n)) for i in range(n)]
-    for ms in groups:
-        for m in ms[1:]:
-            if any(sum(map(mul, v, m)) != sum(map(mul, v, ms[0])) for v in W):
-                diffs.append(tuple(map(sub, m, ms[0])))
-                P: List[int] = []
-                for k in range(n):
-                    if _bareiss([[d[c] for c in P + [k]] for d in diffs])[0] > len(P):
-                        P.append(k)
-                W = []
-                for f in (k for k in range(n) if k not in P):
-                    x, den = _solve_int([[d[c] for c in P] for d in diffs], [-d[f] for d in diffs])
-                    W.append(tuple(den if k == f else x[P.index(k)] if k in P else 0 for k in range(n)))
+    P, R, den = _bareiss([tuple(map(sub, m, ms[0])) for ms in groups for m in ms[1:]])
+    W = []
+    for f in (k for k in range(n) if k not in P):
+        x, d = _reduced([-row[f] for row in R], den)
+        W.append(tuple(d if k == f else x[P.index(k)] if k in P else 0 for k in range(n)))
     return W
 
 

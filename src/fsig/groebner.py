@@ -373,11 +373,10 @@ def krull_dimension(I: Ideal) -> int:
     Combinatorial form: max |U| such that no leading monomial of the reduced
     basis is supported inside U.  Rejects the unit ideal.
     """
-    gb = I.groebner_basis()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
+    if not I.is_proper():
         raise ValueError("krull_dimension: the unit ideal has no dimension")
     n = I.ring.nvars
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()]
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in I.groebner_basis().leading_monomials()]
     for size in range(n, -1, -1):
         for U in itertools.combinations(range(n), size):
             Uset = set(U)

@@ -3,7 +3,8 @@
 Colon ideals drive everything downstream, so they get several routes, each
 exact for a unit operand (no Buchberger run is spent ruling one out):
 
-* both sides monomial        -> combinatorial colon/intersection
+* both sides monomial        -> _colon_elimination (below), every step of
+  it combinatorial: lcm intersections, monomial bases, monomial divisions
 * principal by principal     -> one exact division when the divisor divides
 * box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
   standard monomials, on the rank route's rows (_linalg.box_rows), yielding
@@ -193,7 +194,7 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     if I.is_zero():
         return Ideal(ring, [])
     if I.is_monomial() and J.is_monomial():
-        return _colon_monomial(I, J)
+        return _colon_elimination(I, J)
     if len(I.generators) == 1 and len(J.generators) == 1:
         try:
             return Ideal(ring, [exact_divide(I.generators[0], J.generators[0])])
@@ -205,17 +206,6 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
         if box is not None and all(sum(m) == max(m) for m in mins):
             return _colon_zero_dim(I, J, box)
     return _colon_elimination(I, J)
-
-
-def _colon_monomial(I: Ideal, J: Ideal) -> Ideal:
-    ring = I.ring
-    result: Optional[Ideal] = None
-    mins = minimal_monomials(m for g in I.generators for m in g.terms)
-    for u in minimal_monomials(m for g in J.generators for m in g.terms):
-        gens = [ring.monomial(tuple(max(0, a - b) for a, b in zip(m, u))) for m in mins]
-        Q = Ideal(ring, gens)
-        result = Q if result is None else intersection(result, Q)
-    return result
 
 
 def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:

@@ -10,9 +10,9 @@ normalises by a gcd after every operation and that cost dominated clipping:
 * clip clears t's denominator once, so each halfspace is an integer pair
   (a, b) meaning a.u >= b;
 * a vertex of the clip has k facets of t*P tight and its other n - k
-  coordinates at 0 or 1, so only the k x k system of the k facets on the k
-  free coordinates is solved, by one fraction-free Gauss-Jordan pass
-  (`_solve_int`), giving the vertex as gcd-reduced (numerators, den);
+  coordinates at 0 or 1, so [A_free | A_fixed | b] of each k facets on each
+  k free coordinates is eliminated once, and every corner of the fixed
+  coordinates is read off its reduced rows as gcd-reduced (numerators, den);
   feasibility and tightness are integer tests a.num >= b*den against every
   halfspace, and the tight halfspaces are kept as the vertex's incidence;
 * the pulling triangulation (De Loera, Rambau and Santos, Triangulations,
@@ -21,12 +21,13 @@ normalises by a gcd after every operation and that cost dominated clipping:
   incidence alone: the vertices tight at one more halfspace, kept when no
   other such set contains them (a facet is an inclusion-maximal proper face);
 * every simplex point is a vertex, numerators over the one common den, so the
-  volume is one `_bareiss` determinant per simplex, summed, over n! * den^n.
+  volume is one determinant (the last pivot) per simplex, summed, over
+  n! * den^n.
 
 The facet search of `newton_polyhedron` is integer too: a candidate normal is
-the kernel of a rank-n n x (n+1) integer system, its vector of signed maximal
-minors, which `_solve_int` returns already primitive; the facet's rank test is
-`_bareiss`.
+the kernel of a rank-n n x (n+1) integer system, read off the reduced rows of
+[pt_free | 1] already primitive.  Every one of these steps, and every rank
+test, is one pass of the one integer eliminator `_bareiss`.
 """
 
 from __future__ import annotations
@@ -45,61 +46,46 @@ IntPoint = Tuple[Tuple[int, ...], int]  # (numerators, denominator)
 
 # -- exact linear algebra helpers ----------------------------------------
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
-    """Fraction-free forward elimination of integer rows: (rank, last pivot).
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]], int]:
+    """Fraction-free Gauss-Jordan on integer rows: (pivot columns, pivot rows, last pivot).
 
-    Every division is exact, because each entry after a step is a minor of the
-    input (Bareiss).  For a square matrix of full rank the last pivot is +-det.
+    After each step every row other than the pivot row is (pivot * row - f *
+    pivot row) / previous pivot, an exact division, because each entry is a
+    minor of the input (Bareiss; Nakos, Turner and Williams).  Each pivot row
+    holds the last pivot at its own pivot column and 0 at the others, so the
+    rows over the last pivot are the reduced row echelon form; the rank is the
+    number of pivots, and for a square matrix of full rank the last pivot is
+    +-det.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank, prev = 0, 1
-    for c in range(ncols):
-        if rank == nrows:
+    pivots: List[int] = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
             break
-        pivot = next((i for i in range(rank, nrows) if rows[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
         pc = prow[c]
-        for i in range(rank + 1, nrows):
-            f = rows[i][c]
-            rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], prow)]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], prow)]
         prev = pc
-        rank += 1
-    return rank, prev
+        pivots.append(c)
+    return pivots, rows[: len(pivots)], prev
 
 
-def _solve_int(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """The solution of the square system rows * x = rhs as (numerators, den).
-
-    One fraction-free Gauss-Jordan pass: after step k every row other than the
-    pivot row is (pivot * row - f * pivot row) / previous pivot, an exact
-    division, and at the end each diagonal entry is the last pivot (+-det).
-    The result is reduced by its gcd with den > 0; None when rows is singular.
-    """
-    n = len(rows)
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return None
-        m[k], m[pivot] = m[pivot], m[k]
-        prow = m[k]
-        pk = prow[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(pk * a - f * b) // prev for a, b in zip(m[i], prow)]
-        prev = pk
-    nums = [row[n] for row in m]
-    g = math.gcd(prev, *nums)
-    if prev < 0:
+def _reduced(nums: Sequence[int], den: int) -> IntPoint:
+    """The point nums / den as (numerators, den), reduced by their gcd with den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
         g = -g
-    return tuple(x // g for x in nums), prev // g
+    return tuple(x // g for x in nums), den // g
 
 
 # -- Newton polyhedron ----------------------------------------------------
@@ -144,12 +130,12 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
                 # (a, c) with a zero off `free` and a.pt = c on T spans the kernel
                 # of an n x (n+1) integer system: its signed maximal minors.  The
                 # minor without the c column is the determinant of the k x k
-                # system below; when it is 0 the kernel is wider than a line or
-                # has c = 0, and no facet comes from it.
-                sol = _solve_int([[pt[i] for i in free] for pt in T], [1] * k)
-                if sol is None:
+                # block of [pt_free | 1]; when it is 0 the kernel is wider than a
+                # line or has c = 0, and no facet comes from it.
+                pivots, R, den = _bareiss([[pt[i] for i in free] + [1] for pt in T])
+                if pivots != list(range(k)):
                     continue
-                nums, c = sol  # gcd-reduced with c > 0: already primitive
+                nums, c = _reduced([row[k] for row in R], den)  # c > 0: already primitive
                 if any(x < 0 for x in nums):
                     continue
                 a = [0] * n
@@ -164,7 +150,7 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
                 spanning = [
                     [u - b for u, b in zip(pt, base)] for pt in tight_pts[1:]
                 ] + [list(d) for d in tight_dirs]
-                if _bareiss(spanning)[0] == n - 1:
+                if len(_bareiss(spanning)[0]) == n - 1:
                     facets[(a, c)] = None
     return NewtonPolyhedron(n, tuple(sorted(facets)), tuple(points))
 
@@ -195,8 +181,8 @@ class ClippedPolytope:
             return Fraction(0)
         n, den, total = self.nvars, self.int_simplices[0][0][1], 0
         for (base, _), *rest in self.int_simplices:
-            rank, det = _bareiss([[a - b for a, b in zip(pt, base)] for pt, _ in rest])
-            total += abs(det) if rank == n else 0
+            pivots, _, det = _bareiss([[a - b for a, b in zip(pt, base)] for pt, _ in rest])
+            total += abs(det) if len(pivots) == n else 0
         return Fraction(total, math.factorial(n) * den**n)
 
 
@@ -218,23 +204,27 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
     halfspaces = tuple((tuple(Fraction(x, td) for x in a), Fraction(b, td)) for a, b in int_halfspaces)
 
     # (numerators, den) -> the halfspaces tight there, or None when infeasible.
-    # A vertex has k facets tight and its other n - k coordinates at 0 or 1, so
-    # only the k x k system of those facets on the k free coordinates is solved.
-    incidence: Dict[Tuple[Tuple[int, ...], int], Optional[frozenset]] = {}
+    # A vertex has k facets tight and its other n - k coordinates at 0 or 1.
+    # [A_free | A_fixed | b] of k facets is eliminated once, and every corner
+    # v of the fixed coordinates is read off its reduced rows R:
+    # u_free[i] = (R[i][n] - sum_j R[i][k + j] * v_j) / den.
+    incidence: Dict[IntPoint, Optional[frozenset]] = {}
     for k in range(min(n, len(facets)) + 1):
         for combo in itertools.combinations(facets, k):
             for free in itertools.combinations(range(n), k):
                 fixed = tuple(i for i in range(n) if i not in free)
-                rows = [[a[i] for i in free] for a, _ in combo]
+                pivots, R, den = _bareiss([[a[i] for i in free + fixed] + [b] for a, b in combo])
+                if pivots != list(range(k)):
+                    continue  # singular on the free coordinates, whatever the corner
                 for values in itertools.product((0, 1), repeat=n - k):
-                    sol = _solve_int(rows, [b - sum(a[i] for i, v in zip(fixed, values) if v) for a, b in combo])
-                    if sol is None:
-                        break  # the rows are singular whatever the fixed values
-                    nums, d = [0] * n, sol[1]
-                    for i, x in zip(free + fixed, sol[0] + tuple(v * d for v in values)):
-                        nums[i] = x
-                    sol = (tuple(nums), d)
+                    nums = [0] * n
+                    for i, row in zip(free, R):
+                        nums[i] = row[n] - sum(x for x, v in zip(row[k:n], values) if v)
+                    for i, v in zip(fixed, values):
+                        nums[i] = v * den
+                    sol = _reduced(nums, den)
                     if sol not in incidence:
+                        nums, d = sol  # d > 0, so a negative slack is a violated halfspace
                         slack = [sum(x * u for x, u in zip(a, nums)) - b * d for a, b in int_halfspaces]
                         incidence[sol] = None if min(slack) < 0 else frozenset(i for i, s in enumerate(slack) if s == 0)
 
@@ -245,7 +235,7 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
     points = [pt for pt, _ in scaled]
     vertices = tuple(tuple(Fraction(x, den) for x in pt) for pt in points)
 
-    if len(vertices) <= n or _bareiss([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]])[0] < n:
+    if len(vertices) <= n or len(_bareiss([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]])[0]) < n:
         return ClippedPolytope(n, halfspaces, vertices, ())
     simplices = _pulling_triangulation([inc for _, inc in scaled], n)
     return ClippedPolytope(n, halfspaces, vertices, tuple(tuple((points[v], den) for v in s) for s in simplices))

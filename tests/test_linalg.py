@@ -1,11 +1,12 @@
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import box_row, dense_rank_modp
+from _oracles import box_row, dense_rank_modp, fraction_rref
 from fsig import _linalg
 from fsig._linalg import Echelon, box_rows, torus_grading
 
@@ -229,6 +230,17 @@ def test_torus_grading_is_the_kernel_of_the_term_differences_randomized():
         assert all(sum(map(operator.mul, v, d)) == 0 for v in W for d in diffs), (groups, W)
         assert len(W) == _rank_q(W) == n - _rank_q(diffs), (groups, W)
         assert all(isinstance(x, int) for v in W for x in v)
+        # exactly the primitive kernel rows of the rational RREF, one per free
+        # column, each positive there: W fixes the blocks
+        rref, pivots = fraction_rref([[Fraction(x) for x in d] for d in diffs])
+        expected = []
+        for f in (k for k in range(n) if k not in pivots):
+            vec = [Fraction(int(k == f)) for k in range(n)]
+            for row, pc in zip(rref, pivots):
+                vec[pc] = -row[f]
+            ints = [int(v * math.lcm(*(u.denominator for u in vec))) for v in vec]
+            expected.append(tuple(x // math.gcd(*ints) for x in ints))
+        assert W == expected, (groups, W)
         ranks.add(len(W))
     assert {0, 1, 2} <= ranks
 

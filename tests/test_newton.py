@@ -250,6 +250,30 @@ def test_clip_builds_few_simplices():
     assert C.volume() == Fraction(1149360053, 1166400000)
 
 
+def test_clip_eliminates_once_per_facet_and_coordinate_subset(monkeypatch):
+    # a work pin without a wall clock: clip eliminates each k facets on each
+    # k free coordinates once and reads every corner off it, plus one rank
+    # test for full dimension; on this sweep that is 78 calls, where a solve
+    # per corner made 624
+    import fsig.newton as newton
+
+    P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
+    F, n = len(P.facets), P.nvars
+    bound = sum(math.comb(F, k) * math.comb(n, k) for k in range(min(n, F) + 1)) + 1
+    calls = []
+    real = newton._bareiss
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(newton, "_bareiss", counting)
+    for k in range(13):
+        calls.clear()
+        clip(P, Fraction(k, 12))
+        assert 0 < len(calls) <= bound, (k, len(calls), bound)
+
+
 def test_monomial_4var_pinned_volumes():
     # values from the benchmark's pins for the monomial-4var sweep (cross-checked by qhull)
     P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
@@ -271,7 +295,10 @@ def _leibniz_det(rows):
 
 
 def test_integer_kernels_match_fraction_elimination():
-    from fsig.newton import _bareiss, _solve_int
+    # one fraction-free Gauss-Jordan pass: its pivots and rows over the last
+    # pivot are the rational RREF, its last pivot is +-det, and the solution
+    # of a square system is read off the reduced rows of [A | b]
+    from fsig.newton import _bareiss, _reduced
     from _oracles import fraction_rref as _rref
 
     rng = random.Random(31)
@@ -281,19 +308,23 @@ def test_integer_kernels_match_fraction_elimination():
         if nrows > 1 and rng.random() < 0.4:  # force a dependent row
             a, b = rng.randint(-2, 2), rng.randint(-2, 2)
             rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
-        rank, pivot = _bareiss(rows)
-        assert rank == len(_rref([[Fraction(v) for v in r] for r in rows])[1]), rows
+        pivots, R, pivot = _bareiss(rows)
+        rref, oracle_pivots = _rref([[Fraction(v) for v in r] for r in rows])
+        assert pivots == oracle_pivots, rows
+        assert [[Fraction(x, pivot) for x in r] for r in R] == rref[: len(pivots)], rows
+        rank = len(pivots)
         if nrows != ncols:
             continue
         det = _leibniz_det(rows)
         assert (rank == nrows) == (det != 0), rows
         rhs = [rng.randint(-5, 5) for _ in range(nrows)]
-        sol = _solve_int(rows, rhs)
+        solved, S, last = _bareiss([r + [b] for r, b in zip(rows, rhs)])
         if det == 0:
-            assert sol is None, rows
+            assert solved != list(range(nrows)), rows
             continue
         assert abs(pivot) == abs(det), rows
-        nums, den = sol
+        assert solved == list(range(nrows)) and last == pivot, rows
+        nums, den = _reduced([row[nrows] for row in S], last)
         assert den > 0 and math.gcd(den, *nums) == 1
         cramer = [
             Fraction(_leibniz_det([[rhs[r] if c == k else rows[r][c] for c in range(nrows)] for r in range(nrows)]), det)
