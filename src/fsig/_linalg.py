@@ -1,4 +1,9 @@
-"""The box matrix of both a_e routes, and incremental row echelon over F_p.
+"""The box matrix of both a_e routes, incremental row echelon over F_p, and
+the one integer eliminator.
+
+_bareiss, fraction-free Gauss-Jordan over the integers, gives every exact
+rank, determinant, solution and kernel on the integer side: the torus
+grading here and the facets, clip vertices and volumes of fsig.newton.
 
 box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
 columns and which cells have a row.  Its one row builder serves row(g) for
@@ -8,7 +13,7 @@ d.  The rank route's descent lifts the previous level's pivot cells by p; a
 level with no descent lifts every cell of the previous level's box by p,
 which is the whole box [0, q)^n.  When every generator f_j is homogeneous
 for a torus grading W (torus_grading, the integer kernel of the differences
-of f_j's exponents, read off one pass of newton._bareiss), the row of cell g
+of f_j's exponents, read off one pass of _bareiss), the row of cell g
 writes only columns t of f_j with W*t - W*m_j = W*g: the matrix is block
 diagonal in W*g, its rank the sum of the block ranks, and blocks walks it
 block by block.  A vector is a dict
@@ -25,16 +30,58 @@ that depends on earlier ones reduces to the labels of its dependency.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from itertools import groupby, product
 from operator import itemgetter, lt, mul, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .newton import _bareiss, _reduced
-
 Row = Dict[int, int]
 BLOCK_LIFTS = 256  # blocks(): consecutive degrees merge into one block until it holds this many lifts
 Block = Iterator[Tuple[int, Row]]  # (cell index, row), in cell order
+IntPoint = Tuple[Tuple[int, ...], int]  # (numerators, denominator)
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]], int]:
+    """Fraction-free Gauss-Jordan on integer rows: (pivot columns, pivot rows, last pivot).
+
+    After each step every row other than the pivot row is (pivot * row - f *
+    pivot row) / previous pivot, an exact division, because each entry is a
+    minor of the input (Bareiss; Nakos, Turner and Williams).  Each pivot row
+    holds the last pivot at its own pivot column and 0 at the others, so the
+    rows over the last pivot are the reduced row echelon form; the rank is the
+    number of pivots, and for a square matrix of full rank the last pivot is
+    +-det.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots: List[int] = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pc = prow[c]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], prow)]
+        prev = pc
+        pivots.append(c)
+    return pivots, rows[: len(pivots)], prev
+
+
+def _reduced(nums: Sequence[int], den: int) -> IntPoint:
+    """The point nums / den as (numerators, den), reduced by their gcd with den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(x // g for x in nums), den // g
 
 
 def torus_grading(groups: Iterable[Sequence[Tuple[int, ...]]], n: int) -> List[Tuple[int, ...]]:

@@ -10,21 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .groebner import ResourceLimitError
-from .newton import DIMENSION_CAP, clip_and_volume, newton_polyhedron
-from .poly import DEGREVLEX, LEX, PolyParseError, PolyRing, Polynomial, is_identifier, is_prime
-from .signature import (
+from .poly import (
+    CEILING_MODES,
+    DEGREVLEX,
+    LEX,
     InfeasibleError,
-    SplittingReport,
-    signature_sequence,
-    splitting_prime_candidate,
-    splitting_ratio,
+    PolyParseError,
+    PolyRing,
+    Polynomial,
+    Record,
+    ResourceLimitError,
+    is_identifier,
+    is_prime,
 )
-from .systems import CEILING_MODES, FGradedSystem, make_system
+
+if TYPE_CHECKING:
+    from .signature import SplittingReport
+    from .systems import FGradedSystem
 
 MODES = ("signature", "ratio", "prime", "fpure", "monomial")
 ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
@@ -39,37 +44,45 @@ class ProblemError(ValueError):
         self.column = column
 
 
-@dataclass
-class Problem:
-    p: int
-    variables: Tuple[str, ...]
-    order_name: str
-    system_ast: tuple
-    mode: str
-    emax: int
-    ceiling: str = "pminusone"
-    t_sweep: Optional[Tuple[Fraction, Fraction, Fraction]] = None
-    threshold_deg: Optional[int] = None
-    method: str = "both"
-    system_pos: Tuple[int, int] = (0, 0)  # line, column of the system key
+class Problem(Record):
+    __slots__ = _fields = (
+        "p", "variables", "order_name", "system_ast", "mode", "emax", "ceiling", "t_sweep",
+        "threshold_deg", "method", "system_pos",
+    )
+
+    def __init__(
+        self, p: int, variables: Tuple[str, ...], order_name: str, system_ast: tuple, mode: str,
+        emax: int, ceiling: str = "pminusone",
+        t_sweep: Optional[Tuple[Fraction, Fraction, Fraction]] = None,
+        threshold_deg: Optional[int] = None, method: str = "both",
+        system_pos: Tuple[int, int] = (0, 0),  # line, column of the system key
+    ):
+        self._set_fields(
+            p, variables, order_name, system_ast, mode, emax, ceiling, t_sweep, threshold_deg, method, system_pos
+        )
 
     def ring(self) -> PolyRing:
         return PolyRing.make(self.p, self.variables, ORDERS[self.order_name])
 
     def system(self) -> FGradedSystem:
+        from .systems import make_system
+
         try:
             return make_system(self.system_ast, self.ring(), self.ceiling)
         except ValueError as err:  # e.g. a quotient by the unit ideal
             raise ProblemError(str(err), *self.system_pos) from None
 
 
-@dataclass
-class RunResult:
-    problem: Problem
-    report: Optional[SplittingReport] = None
-    monomial_rows: Optional[List[Tuple[Fraction, Fraction]]] = None
-    transcript: List[str] = field(default_factory=list)
-    candidate_absent_reason: Optional[str] = None
+class RunResult(Record):
+    __slots__ = _fields = ("problem", "report", "monomial_rows", "transcript", "candidate_absent_reason")
+
+    def __init__(
+        self, problem: Problem, report: Optional[SplittingReport] = None,
+        monomial_rows: Optional[List[Tuple[Fraction, Fraction]]] = None,
+        transcript: Optional[List[str]] = None, candidate_absent_reason: Optional[str] = None,
+    ):
+        transcript = [] if transcript is None else transcript
+        self._set_fields(problem, report, monomial_rows, transcript, candidate_absent_reason)
 
 
 # -- parsing --------------------------------------------------------------
@@ -259,6 +272,8 @@ def parse_problem_file(text: str) -> Problem:
     _validate_ast(ast, lineno, col)
 
     if mode == "monomial":
+        from .newton import DIMENSION_CAP
+
         if ast[0] != "pair":
             raise ProblemError("monomial mode needs a single pair system", lineno, col)
         if not all(g.is_monomial() for g in ast[1]):
@@ -300,8 +315,14 @@ def _validate_ast(ast: tuple, line: int, col: int):
 # -- orchestration ---------------------------------------------------------
 
 def run(problem: Problem) -> RunResult:
-    """Dispatch a validated problem to the matching pipeline."""
+    """Dispatch a validated problem to the matching pipeline.
+
+    Each branch imports only what it runs: a monomial problem never loads the
+    Groebner layer, and no other mode loads fsig.newton.
+    """
     if problem.mode == "monomial":
+        from .newton import clip_and_volume, newton_polyhedron
+
         exps = [next(iter(g.terms)) for g in problem.system_ast[1]]
         ts: List[Fraction] = []
         if problem.t_sweep is not None:
@@ -315,6 +336,8 @@ def run(problem: Problem) -> RunResult:
         P = newton_polyhedron(exps)
         rows = [(t, clip_and_volume(P, t)) for t in ts]
         return RunResult(problem, monomial_rows=rows)
+
+    from .signature import signature_sequence, splitting_prime_candidate, splitting_ratio
 
     system = problem.system()
     if problem.mode == "ratio":

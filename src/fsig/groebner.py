@@ -10,8 +10,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
     Exponents,
+    InternalInvariantError,
     PolyRing,
     Polynomial,
+    ResourceLimitError,
     monomial_div,
     monomial_lcm,
 )
@@ -20,19 +22,6 @@ DEFAULT_MAX_PAIRS = 40000
 DEFAULT_MAX_BASIS = 300
 
 INFINITE = math.inf
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured pair/basis cap was hit; distinct from any mathematical failure."""
-
-    def __init__(self, message: str, pairs_done: int = 0, basis_size: int = 0):
-        super().__init__(message)
-        self.pairs_done = pairs_done
-        self.basis_size = basis_size
-
-
-class InternalInvariantError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 class GroebnerBasis:

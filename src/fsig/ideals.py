@@ -26,13 +26,13 @@ from . import _linalg
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    InternalInvariantError,
     eliminate,
     minimal_monomials,
     pure_power_box,
 )
 from .poly import (
     Exponents,
+    InternalInvariantError,
     Polynomial,
     monomial_div,
     monomial_divides,

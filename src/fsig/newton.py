@@ -27,71 +27,27 @@ normalises by a gcd after every operation and that cost dominated clipping:
 The facet search of `newton_polyhedron` is integer too: a candidate normal is
 the kernel of a rank-n n x (n+1) integer system, read off the reduced rows of
 [pt_free | 1] already primitive.  Every one of these steps, and every rank
-test, is one pass of the one integer eliminator `_bareiss`.
+test, is one pass of the one integer eliminator `_linalg._bareiss`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ._linalg import IntPoint, _bareiss, _reduced
+from .poly import FrozenRecord
 
 DIMENSION_CAP = 6
 
 Vector = Tuple[Fraction, ...]
-IntPoint = Tuple[Tuple[int, ...], int]  # (numerators, denominator)
-
-
-# -- exact linear algebra helpers ----------------------------------------
-
-def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]], int]:
-    """Fraction-free Gauss-Jordan on integer rows: (pivot columns, pivot rows, last pivot).
-
-    After each step every row other than the pivot row is (pivot * row - f *
-    pivot row) / previous pivot, an exact division, because each entry is a
-    minor of the input (Bareiss; Nakos, Turner and Williams).  Each pivot row
-    holds the last pivot at its own pivot column and 0 at the others, so the
-    rows over the last pivot are the reduced row echelon form; the rank is the
-    number of pivots, and for a square matrix of full rank the last pivot is
-    +-det.
-    """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots: List[int] = []
-    prev = 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pc = prow[c]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], prow)]
-        prev = pc
-        pivots.append(c)
-    return pivots, rows[: len(pivots)], prev
-
-
-def _reduced(nums: Sequence[int], den: int) -> IntPoint:
-    """The point nums / den as (numerators, den), reduced by their gcd with den > 0."""
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return tuple(x // g for x in nums), den // g
 
 
 # -- Newton polyhedron ----------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(FrozenRecord):
     """conv(generator exponents) + the nonnegative orthant, by facets.
 
     facets are (normal, offset) with nonnegative integer normals meaning
@@ -99,9 +55,12 @@ class NewtonPolyhedron:
     and not stored.  Generators are kept for tightness certification.
     """
 
-    nvars: int
-    facets: Tuple[Tuple[Tuple[int, ...], int], ...]
-    generators: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("nvars", "facets", "generators")
+
+    def __init__(
+        self, nvars: int, facets: Tuple[Tuple[Tuple[int, ...], int], ...], generators: Tuple[Tuple[int, ...], ...]
+    ):
+        self._set_fields(nvars, facets, generators)
 
 
 def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
@@ -157,8 +116,7 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
 
 # -- clipping and volume ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ClippedPolytope:
+class ClippedPolytope(FrozenRecord):
     """t*P intersected with the unit cube: halfspaces, vertices, triangulation.
 
     int_simplices is a pulling triangulation: each simplex is a tuple of
@@ -166,10 +124,13 @@ class ClippedPolytope:
     all vertices; simplices reads them as Fraction points.
     """
 
-    nvars: int
-    halfspaces: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
-    vertices: Tuple[Vector, ...]
-    int_simplices: Tuple[Tuple[IntPoint, ...], ...]
+    __slots__ = _fields = ("nvars", "halfspaces", "vertices", "int_simplices")
+
+    def __init__(
+        self, nvars: int, halfspaces: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...],
+        vertices: Tuple[Vector, ...], int_simplices: Tuple[Tuple[IntPoint, ...], ...],
+    ):
+        self._set_fields(nvars, halfspaces, vertices, int_simplices)
 
     @property
     def simplices(self) -> Tuple[Tuple[Vector, ...], ...]:

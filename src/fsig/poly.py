@@ -3,15 +3,89 @@
 A polynomial is a dict mapping exponent tuples to coefficients in [1, p-1].
 The zero polynomial has an empty term dict.  All values are immutable after
 construction and safe to share.
+
+Every other module builds on this one, so it also holds what they share:
+the Record base of the package's plain records, the error classes the CLI
+turns into exit codes, and the ceiling conventions of a pair system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add, le, neg, sub
+from operator import add, attrgetter, le, neg, sub
 from typing import Dict, Optional, Tuple
 
 Exponents = Tuple[int, ...]
+
+CEILING_MODES = ("pminusone", "pe")  # a pair's level exponent: ceil(t*(p^e - 1)) or ceil(t*p^e)
+
+
+class Record:
+    """A plain record over the names in _fields, kept in __slots__.
+
+    Records compare field by field, and only with records of the same class;
+    they print as Name(field=value, ...) and are unhashable.  A FrozenRecord
+    is immutable and hashes by its fields.  __init__ validates, then sets the
+    fields in order with _set_fields.  Each subclass gets _values, one
+    attrgetter over its _fields.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, in __init__, and that hashes by them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured pair/basis cap was hit; distinct from any mathematical failure."""
+
+    def __init__(self, message: str, pairs_done: int = 0, basis_size: int = 0):
+        super().__init__(message)
+        self.pairs_done = pairs_done
+        self.basis_size = basis_size
+
+
+class InternalInvariantError(RuntimeError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class InfeasibleError(RuntimeError):
+    """The requested mode cannot be run on this input (e.g. ratio without purity)."""
 
 
 class RingMismatchError(ValueError):
@@ -54,15 +128,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(FrozenRecord):
     """The field Z/pZ with canonical representatives in [0, p)."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self._set_fields(p)
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -70,8 +144,7 @@ class PrimeField:
         return pow(a, -1, self.p)
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(FrozenRecord):
     """Total multiplicative well-order on monomials.
 
     kind is "degrevlex", "lex" or "block".  A block order compares the first
@@ -81,21 +154,21 @@ class TermOrder:
     key(exps), with key(a) > key(b) iff a > b, is one flat function built once:
     the degree, then the negated reversed exponents, for degrevlex; for a block
     order, those of its head, then the inner order's (inlined if degrevlex).
+    key is not a field: it takes no part in equality, hashing or the repr.
     """
 
-    kind: str = "degrevlex"
-    block_size: int = 0
-    inner: Optional["TermOrder"] = None
+    _fields = ("kind", "block_size", "inner")
+    __slots__ = _fields + ("key",)
 
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex", "block"):
-            raise ValueError(f"unknown term order {self.kind!r}")
-        if self.kind == "block" and (self.block_size < 1 or self.inner is None):
+    def __init__(self, kind: str = "degrevlex", block_size: int = 0, inner: Optional["TermOrder"] = None):
+        if kind not in ("degrevlex", "lex", "block"):
+            raise ValueError(f"unknown term order {kind!r}")
+        if kind == "block" and (block_size < 1 or inner is None):
             raise ValueError("block order needs block_size >= 1 and an inner order")
-        b, inner = self.block_size, self.inner
-        if self.kind == "lex":
+        b = block_size
+        if kind == "lex":
             key = tuple
-        elif self.kind == "degrevlex":
+        elif kind == "degrevlex":
             def key(exps):
                 return (sum(exps), *map(neg, reversed(exps)))
         elif inner.kind == "degrevlex":
@@ -105,6 +178,7 @@ class TermOrder:
         else:
             def key(exps, inner=inner.key):
                 return (sum(exps[:b]), *map(neg, reversed(exps[:b])), *inner(exps[b:]))
+        self._set_fields(kind, block_size, inner)
         object.__setattr__(self, "key", key)
 
     def greater(self, a: Exponents, b: Exponents) -> bool:
@@ -135,8 +209,7 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(FrozenRecord):
     """Ring handle: modulus, ordered variable names, the term order.
 
     The ring owns its term order: leading terms, printing and every Groebner
@@ -144,9 +217,10 @@ class PolyRing:
     iteration that reaches output is sorted, so runs are reproducible.
     """
 
-    field: PrimeField
-    variables: Tuple[str, ...]
-    order: TermOrder = DEGREVLEX
+    __slots__ = _fields = ("field", "variables", "order")
+
+    def __init__(self, field: PrimeField, variables: Tuple[str, ...], order: TermOrder = DEGREVLEX):
+        self._set_fields(field, variables, order)
 
     @staticmethod
     def make(p: int, variables, order: TermOrder = DEGREVLEX) -> "PolyRing":

@@ -42,26 +42,21 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .groebner import (
-    Ideal,
-    InternalInvariantError,
-    ResourceLimitError,
-    krull_dimension,
-    normal_form,
-    quotient_length,
-)
+from .groebner import Ideal, krull_dimension, normal_form, quotient_length
 from .ideals import ExactDivisionError, bracket_power, colon, exact_divide, ideal_sum, tangent_cone
-from .poly import PolyRing
+from .poly import (
+    FrozenRecord,
+    InfeasibleError,
+    InternalInvariantError,
+    PolyRing,
+    Record,
+    ResourceLimitError,
+)
 from .systems import FGradedSystem, QuotientSystem
-
-
-class InfeasibleError(RuntimeError):
-    """The requested mode cannot be run on this input (e.g. ratio without purity)."""
 
 
 class MethodDisagreement(InternalInvariantError):
@@ -184,50 +179,48 @@ def splitting_number(sys: FGradedSystem, e: int, method: str = "both") -> int:
 
 # -- reports ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Row:
-    e: int
-    a_e: int
-    s_e: Fraction
+class Row(FrozenRecord):
+    __slots__ = _fields = ("e", "a_e", "s_e")
+
+    def __init__(self, e: int, a_e: int, s_e: Fraction):
+        self._set_fields(e, a_e, s_e)
 
 
-@dataclass
-class SplittingReport:
+class SplittingReport(Record):
     """Per-level table plus convergence and semigroup diagnostics."""
 
-    p: int
-    variables: Tuple[str, ...]
-    system: str
-    d: int
-    rows: Tuple[Row, ...]
-    estimate: Optional[Fraction]
-    error_envelope: Optional[Fraction]
-    gamma: Tuple[int, ...]
-    index: Optional[int]
-    f_pure: bool
-    witness: Optional[int]
-    prime_candidate: Optional[Ideal] = None
-    ratio_rows: Optional[Tuple[Tuple[int, Fraction], ...]] = None
-    ratio_estimate: Optional[Fraction] = None
-    ratio_envelope: Optional[Fraction] = None
-    ratio_dimension: Optional[int] = None
-    partial: bool = False
-    notes: Tuple[str, ...] = ()
+    __slots__ = _fields = (
+        "p", "variables", "system", "d", "rows", "estimate", "error_envelope", "gamma", "index",
+        "f_pure", "witness", "prime_candidate", "ratio_rows", "ratio_estimate", "ratio_envelope",
+        "ratio_dimension", "partial", "notes",
+    )
 
-    def __post_init__(self):
-        n = len(self.variables)
-        for row in self.rows:
+    def __init__(
+        self, p: int, variables: Tuple[str, ...], system: str, d: int, rows: Tuple[Row, ...],
+        estimate: Optional[Fraction], error_envelope: Optional[Fraction], gamma: Tuple[int, ...],
+        index: Optional[int], f_pure: bool, witness: Optional[int],
+        prime_candidate: Optional[Ideal] = None,
+        ratio_rows: Optional[Tuple[Tuple[int, Fraction], ...]] = None,
+        ratio_estimate: Optional[Fraction] = None, ratio_envelope: Optional[Fraction] = None,
+        ratio_dimension: Optional[int] = None, partial: bool = False, notes: Tuple[str, ...] = (),
+    ):
+        n = len(variables)
+        for row in rows:
             if not (0 <= row.s_e <= 1):
                 raise InternalInvariantError(f"s_{row.e} = {row.s_e} outside [0, 1]")
-            if row.a_e > self.p ** (row.e * n):
+            if row.a_e > p ** (row.e * n):
                 raise InternalInvariantError(f"a_{row.e} = {row.a_e} exceeds the free rank")
-        got = set(self.gamma)
-        for e1 in self.gamma:
-            for e2 in self.gamma:
-                if e1 + e2 <= max(self.gamma, default=0) and (e1 + e2) not in got:
+        got = set(gamma)
+        for e1 in gamma:
+            for e2 in gamma:
+                if e1 + e2 <= max(gamma, default=0) and (e1 + e2) not in got:
                     raise InternalInvariantError(
                         f"observed level set not closed under addition at {e1}+{e2}"
                     )
+        self._set_fields(
+            p, variables, system, d, rows, estimate, error_envelope, gamma, index, f_pure, witness,
+            prime_candidate, ratio_rows, ratio_estimate, ratio_envelope, ratio_dimension, partial, notes,
+        )
 
 
 def _fit_tail(rows: Sequence[Row], p: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:

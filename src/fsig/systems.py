@@ -16,9 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .groebner import Ideal, ideal_membership
 from .ideals import bracket_power, colon, ideal_power, ideal_product
-from .poly import PolyRing, Polynomial
-
-CEILING_MODES = ("pminusone", "pe")
+from .poly import CEILING_MODES, PolyRing, Polynomial
 
 
 def power_exponent(t: Fraction, p: int, e: int, mode: str = "pminusone") -> int:

@@ -7,6 +7,8 @@ import pytest
 
 from fsig.newton import (
     DIMENSION_CAP,
+    ClippedPolytope,
+    NewtonPolyhedron,
     clip,
     clip_and_volume,
     closure_membership,
@@ -58,6 +60,21 @@ def test_newton_polyhedron_drops_interior_point():
 def test_newton_polyhedron_axis_parallel_facets():
     P = newton_polyhedron([(1, 2)])
     assert set(P.facets) == {((1, 0), 1), ((0, 1), 2)}
+
+
+def test_polyhedra_and_clips_are_value_records():
+    P, Q = newton_polyhedron(CUSP), newton_polyhedron([(0, 2), (3, 0), (3, 0)])
+    assert P is not Q and P == Q and hash(P) == hash(Q)
+    assert P != newton_polyhedron([(2, 0), (0, 2)])
+    assert repr(P) == "NewtonPolyhedron(nvars=2, facets=(((2, 3), 6),), generators=((0, 2), (3, 0)))"
+    assert P == NewtonPolyhedron(2, (((2, 3), 6),), ((0, 2), (3, 0)))
+    C, D = clip(P, Fraction(1, 4)), clip(Q, Fraction(1, 4))
+    assert C is not D and C == D and hash(C) == hash(D) and len({C, D}) == 1
+    assert C != clip(P, Fraction(1, 3))
+    assert repr(C).startswith("ClippedPolytope(nvars=2, halfspaces=((")
+    assert C == ClippedPolytope(C.nvars, C.halfspaces, C.vertices, C.int_simplices)
+    with pytest.raises(AttributeError):
+        C.nvars = 3
 
 
 def test_newton_polyhedron_rejects_bad_input():
@@ -255,7 +272,7 @@ def test_clip_eliminates_once_per_facet_and_coordinate_subset(monkeypatch):
     # k free coordinates once and reads every corner off it, plus one rank
     # test for full dimension; on this sweep that is 78 calls, where a solve
     # per corner made 624
-    import fsig.newton as newton
+    import fsig.newton as newton  # newton calls the _linalg eliminator through its own name
 
     P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
     F, n = len(P.facets), P.nvars
@@ -298,7 +315,7 @@ def test_integer_kernels_match_fraction_elimination():
     # one fraction-free Gauss-Jordan pass: its pivots and rows over the last
     # pivot are the rational RREF, its last pivot is +-det, and the solution
     # of a square system is read off the reduced rows of [A | b]
-    from fsig.newton import _bareiss, _reduced
+    from fsig._linalg import _bareiss, _reduced
     from _oracles import fraction_rref as _rref
 
     rng = random.Random(31)

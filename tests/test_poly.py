@@ -32,6 +32,56 @@ def test_prime_field_rejects_composites():
     assert PrimeField(7919).inv(3) * 3 % 7919 == 1
 
 
+def test_prime_field_term_order_and_ring_are_value_records():
+    assert PrimeField(5) == PrimeField(5) and hash(PrimeField(5)) == hash(PrimeField(5))
+    assert PrimeField(5) != PrimeField(7)
+    assert repr(PrimeField(5)) == "PrimeField(p=5)"
+    assert TermOrder() == DEGREVLEX and hash(TermOrder()) == hash(DEGREVLEX)
+    assert TermOrder("lex") == LEX and LEX != DEGREVLEX
+    assert repr(LEX) == "TermOrder(kind='lex', block_size=0, inner=None)"
+    R, S = PolyRing.make(3, ["x", "y"]), PolyRing.make(3, ("x", "y"), TermOrder("degrevlex"))
+    assert R is not S and R == S and hash(R) == hash(S)
+    assert R != PolyRing.make(3, ["x", "y"], LEX) and R != PolyRing.make(5, ["x", "y"])
+    assert repr(R) == (
+        "PolyRing(field=PrimeField(p=3), variables=('x', 'y'), "
+        "order=TermOrder(kind='degrevlex', block_size=0, inner=None))"
+    )
+    # extended() builds a fresh block order each call; equal rings key one dict slot
+    E1, E2 = R.extended(), S.extended()
+    assert E1 is not E2 and E1.order is not E2.order
+    assert E1 == E2 and hash(E1) == hash(E2) and E1 != R
+    assert repr(E1.order) == (
+        "TermOrder(kind='block', block_size=1, inner=TermOrder(kind='degrevlex', block_size=0, inner=None))"
+    )
+    table = {R: "R", E1: "E"}
+    assert table[S] == "R" and table[E2] == "E" and len({R, S, E1, E2}) == 2
+    assert R.parse("x*y") == S.parse("x*y") and E1.parse("t*x") + E2.parse("y") == E2.parse("t*x + y")
+    assert R != (3, ("x", "y"), DEGREVLEX)
+
+
+def test_term_order_key_takes_no_part_in_equality():
+    a, b = TermOrder("block", 2, LEX), TermOrder("block", 2, LEX)
+    assert a.key is not b.key and a == b and hash(a) == hash(b)
+    assert "key" not in repr(a)
+
+
+def test_records_are_frozen_and_validate_in_init():
+    R = PolyRing.make(3, ["x"])
+    for record, name in ((PrimeField(3), "p"), (DEGREVLEX, "key"), (R, "order")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(ValueError, match="unknown term order 'revlex'"):
+        TermOrder("revlex")
+    with pytest.raises(ValueError, match="block order needs"):
+        TermOrder("block", 0, DEGREVLEX)
+    with pytest.raises(ValueError, match="block order needs"):
+        TermOrder("block", 1)
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        PrimeField(4)
+
+
 def test_parse_basic_reduction():
     R = ring3()
     f = R.parse("x^2 - y^2*z")

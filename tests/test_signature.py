@@ -14,6 +14,7 @@ from fsig.poly import PolyRing, Polynomial
 import fsig.signature as signature
 from fsig.signature import (
     InfeasibleError,
+    Row,
     SplittingReport,
     _descends,
     _splitting_number_rank,
@@ -315,6 +316,36 @@ def test_report_bounds_invariants():
     for r in rep.rows:
         assert 0 <= r.s_e <= 1
         assert r.a_e <= rep.p ** (r.e * n)
+
+
+def test_rows_and_reports_are_records():
+    assert Row(2, 41, Fraction(41, 81)) == Row(2, 41, Fraction(41, 81))
+    assert hash(Row(2, 41, Fraction(41, 81))) == hash(Row(2, 41, Fraction(41, 81)))
+    assert Row(2, 41, Fraction(41, 81)) != Row(2, 40, Fraction(40, 81))
+    assert repr(Row(1, 5, Fraction(5, 9))) == "Row(e=1, a_e=5, s_e=Fraction(5, 9))"
+    with pytest.raises(AttributeError):
+        Row(1, 5, Fraction(5, 9)).a_e = 4
+    _, snc = snc_half_half()
+    rep, again = signature_sequence(snc, 2), signature_sequence(snc, 2)
+    assert rep == again and rep != signature_sequence(snc, 1)
+    with pytest.raises(TypeError):
+        hash(rep)
+    assert repr(rep).startswith("SplittingReport(p=3, variables=('x', 'y'), system=")
+    assert repr(rep).endswith(", partial=False, notes=())")
+    rep.partial = True  # a report stays mutable: the CLI sets its prime candidate
+    assert rep != again
+
+
+def test_report_rejects_out_of_range_rows():
+    fields = dict(p=3, variables=("x",), system="s", d=1, estimate=None, error_envelope=None,
+                  gamma=(1,), index=1, f_pure=True, witness=1)
+    with pytest.raises(signature.InternalInvariantError, match="outside"):
+        SplittingReport(rows=(Row(1, 4, Fraction(4, 3)),), **fields)
+    with pytest.raises(signature.InternalInvariantError, match="exceeds the free rank"):
+        SplittingReport(rows=(Row(1, 4, Fraction(1, 3)),), **fields)
+    with pytest.raises(signature.InternalInvariantError, match="not closed under addition"):
+        SplittingReport(rows=(), **dict(fields, gamma=(1, 3)))
+    assert SplittingReport(rows=(Row(1, 3, Fraction(1)),), **fields).rows[0].a_e == 3
 
 
 def test_regular_quotient_candidate_is_the_defining_ideal():
