@@ -9,8 +9,9 @@ exact for a unit operand (no Buchberger run is spent ruling one out):
 * box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
   standard monomials, on the rank route's rows (_linalg.box_rows), yielding
   the reduced Groebner basis directly; covers m^[q] and the unit ideal
-* anything else              -> _colon_elimination, the intersection over f
-  in J of (1/f)(I cap <f>) (the reference path; tests call it directly)
+* anything else              -> _colon_elimination, the chain
+  B_j = (1/f_j)(I cap f_j*B_{j-1}) from B_0 = S over the generators f_j of J,
+  one intersection each, no lone (I : f_j) formed (tests call it directly)
 
 Intersections and the tangent cone eliminate an auxiliary variable with
 groebner.eliminate, which reduces only the basis elements it keeps.
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import _linalg
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _reduce_basis,
     eliminate,
     minimal_monomials,
     pure_power_box,
@@ -209,14 +211,22 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) as the intersection over f in J of (1/f)(I cap <f>)."""
+    """(I : J) as the chain B_0 = S, B_j = (1/f_j)(I cap f_j*B_{j-1}) over J's generators.
+
+    g in B_{j-1} has g*f_j in I iff g*f_j lies in K = I cap f_j*B_{j-1}, and S
+    is a domain, so B_j = K/f_j and B_k is the colon, after one intersection
+    per generator.  lm(g/f_j) = lm(g)/lm(f_j), so the monic quotients of K's
+    reduced basis are a minimal basis of B_j, by increasing lead;
+    _reduce_basis finishes it, and the result carries it.
+    """
     ring = I.ring
-    result: Optional[Ideal] = None
+    result = Ideal(ring, [ring.one()])
     for f in J.generators:
-        K = intersection(I, Ideal(ring, [f]))
-        gens = [exact_divide(g, f) for g in K.groebner_basis()]
-        Q = Ideal(ring, gens)
-        result = Q if result is None else intersection(result, Q)
+        K = intersection(I, Ideal(ring, [f * g for g in result.generators]))
+        quotients = [exact_divide(g, f).monic() for g in K.groebner_basis()]
+        gb = _reduce_basis(ring, [(g.leading_term()[0], g) for g in quotients])
+        result = Ideal(ring, gb.elements)
+        result.set_groebner_basis(gb)
     return result
 
 

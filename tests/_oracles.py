@@ -6,7 +6,9 @@ membership and lengths go through dense Macaulay-style elimination
 on integer lists, areas through the shoelace formula, 3-D volumes through
 exact integration of slice areas, one-halfspace cube volumes through
 inclusion-exclusion over the cube's vertices, powers through repeated
-multiplication on plain dicts.
+multiplication on plain dicts.  The one exception is colon_by_quotients, an
+older construction of (I : J) out of fsig's own intersection, kept to check
+the chained colon against.
 """
 
 from __future__ import annotations
@@ -498,3 +500,21 @@ def brute_lattice_count(
         ):
             count += 1
     return count
+
+
+def colon_by_quotients(I, J):
+    """(I : J) as the intersection over f in J of the lone quotients (1/f)(I cap <f>).
+
+    2k - 1 intersections for k generators, against the chain's k; it reaches
+    the same ideal along a different path.
+    """
+    from fsig.groebner import Ideal
+    from fsig.ideals import exact_divide, intersection
+
+    ring = I.ring
+    result = None
+    for f in J.generators:
+        K = intersection(I, Ideal(ring, [f]))
+        Q = Ideal(ring, [exact_divide(g, f) for g in K.groebner_basis()])
+        result = Q if result is None else intersection(result, Q)
+    return result

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from _oracles import colon_by_quotients
 from fsig.groebner import Ideal, buchberger, ideal_membership, krull_dimension
 from fsig.ideals import (
     ExactDivisionError,
@@ -299,3 +300,49 @@ def test_intersection_elimination_installs_reduced_basis_randomized():
             assert installed == buchberger(K.generators), (I, J)
             checked += 1
     assert checked >= 30
+
+
+def test_chained_colon_matches_the_quotient_intersection_randomized():
+    # (I : J) by the chain against the intersection of the lone (I : f_j), for J with
+    # two or three generators; degrees stay small, since each lone quotient is large
+    rng = random.Random(2121)
+    kinds = set()
+    proper = 0
+    for p in (2, 3, 5):
+        for _ in range(10):
+            R = PolyRing.make(p, ["x", "y", "z"][: rng.randint(2, 3)])
+            monomial = rng.random() < 0.3, rng.random() < 0.3
+
+            def draw(mono, deg=2):
+                return _random_poly(rng, R, max_terms=1 if mono else 3, max_deg=deg)
+
+            J = Ideal(R, [draw(monomial[1]) for _ in range(rng.randint(2, 3))])
+            if len(J.generators) < 2:
+                continue
+            # multiples of some generators of J, so that the colon is often neither I nor S
+            multiples = [draw(monomial[0], 1) * f for f in rng.sample(J.generators, rng.randint(1, len(J.generators)))]
+            I = Ideal(R, multiples + [draw(monomial[0])])
+            Q = _colon_elimination(I, J)
+            assert ideal_equals(Q, colon_by_quotients(I, J)), (I, J)
+            installed = Q._gb
+            assert installed == buchberger(Q.generators), (I, J)
+            assert Q.generators == installed.elements
+            kinds.add((I.is_monomial(), J.is_monomial()))
+            proper += Q.is_proper() and not ideal_equals(Q, I)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    assert proper >= 15
+
+
+def test_chained_colon_intersects_once_per_generator(monkeypatch):
+    # the twisted cubic's (J^[3] : J): one intersection per generator of J
+    R = PolyRing.make(3, ["x", "y", "z", "w"])
+    J = Ideal(R, [R.parse(g) for g in ["x*z - y^2", "x*w - y*z", "y*w - z^2"]])
+    calls = []
+
+    def counted(I, K):
+        calls.append(K)
+        return intersection(I, K)
+
+    monkeypatch.setattr("fsig.ideals.intersection", counted)
+    _colon_elimination(bracket_power(J, 1), J)
+    assert len(calls) == len(J.generators) == 3

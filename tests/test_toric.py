@@ -51,8 +51,8 @@ CASES = [
         for p in (2, 3, 5)
     ),
     pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 2, 3, False, id="twisted-cubic-p2"),
-    pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 3, 2, False, id="twisted-cubic-p3"),
-    pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 5, 1, False, id="twisted-cubic-p5"),
+    pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 3, 3, False, id="twisted-cubic-p3"),
+    pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 5, 2, False, id="twisted-cubic-p5"),
     pytest.param(["a", "b", "c", "d", "f"], QUARTIC, [(0, 1), (4, -1)], 2, 2, False, id="quartic-curve-p2"),
     pytest.param(["a", "b", "c", "d", "f"], QUARTIC, [(0, 1), (4, -1)], 3, 1, False, id="quartic-curve-p3"),
     pytest.param(["x", "y", "z", "w"], ["x*w - y*z"], CONIFOLD_RAYS, 2, 3, True, id="conifold-p2"),
