@@ -3,18 +3,17 @@
 Everything here is exact.  Facet normals are primitive integer vectors.  The
 values a caller sees stay Fractions: the halfspaces, vertices and simplex
 points of a ClippedPolytope and every volume.  The clipped-volume pipeline
-follows halfspace -> box-aware vertex enumeration -> pulling triangulation ->
+follows halfspace -> double description -> pulling triangulation ->
 determinant sums, and its inner loops run on Python ints, because a Fraction
 normalises by a gcd after every operation and that cost dominated clipping:
 
 * clip clears t's denominator once, so each halfspace is an integer pair
   (a, b) meaning a.u >= b;
-* a vertex of the clip has k facets of t*P tight and its other n - k
-  coordinates at 0 or 1, so [A_free | A_fixed | b] of each k facets on each
-  k free coordinates is eliminated once, and every corner of the fixed
-  coordinates is read off its reduced rows as gcd-reduced (numerators, den);
-  feasibility and tightness are integer tests a.num >= b*den against every
-  halfspace, and the tight halfspaces are kept as the vertex's incidence;
+* _vertices, the one vertex enumerator, starts from the cube's corners and
+  adds the halfspaces one at a time (double description): each drops the
+  vertices it cuts off and adds a point on every edge it crosses, an edge
+  being two vertices that no third is tight with; every point is a
+  gcd-reduced (numerators, den) and keeps its tight halfspaces as incidence;
 * the pulling triangulation (De Loera, Rambau and Santos, Triangulations,
   section 4.3) cones each face from its first vertex over its facets that
   miss that vertex, each face triangulated once; a face's facets come from
@@ -24,18 +23,17 @@ normalises by a gcd after every operation and that cost dominated clipping:
   volume is one determinant (the last pivot) per simplex, summed, over
   n! * den^n.
 
-The facet search of `newton_polyhedron` is integer too: a candidate normal is
-the kernel of a rank-n n x (n+1) integer system, read off the reduced rows of
-[pt_free | 1] already primitive.  Every one of these steps, and every rank
-test, is one pass of the one integer eliminator `_linalg._bareiss`.
+The facets of `newton_polyhedron` come from the same enumerator: by blocking
+duality they are the vertices of {a >= 0 : a.pt >= 1}, which lie in the cube.
+Every rank and determinant is one pass of the integer eliminator
+`_linalg._bareiss`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ._linalg import IntPoint, _bareiss, _reduced
 from .poly import FrozenRecord
@@ -66,10 +64,13 @@ class NewtonPolyhedron(FrozenRecord):
 def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
     """Irredundant facet description of conv(exponents) + orthant.
 
-    Candidate hyperplanes pass through k generator points and are parallel to
-    n - k coordinate axes; a candidate survives if its normal is nonnegative,
-    every generator lies on the correct side, and its tight set spans an
-    (n-1)-dimensional face.
+    A facet a.u >= c with c > 0 is the vertex a / c of the blocker {a >= 0 :
+    a.pt >= 1 for every generator pt} (Fulkerson), and every such vertex lies
+    in [0,1]^n: for a_i > 0 some tight pt has pt_i >= 1, so a_i <= 1.  Of the
+    vertices of the blocker cut to the cube, the blocker's own are those whose
+    tight generators and zero coordinates have rank n; the others lie on a face
+    a_i = 1 of the cube.  A tight generator gives nums.pt = den, so gcd(nums)
+    divides gcd(nums, den) = 1 and each normal is already primitive.
     """
     points = sorted({tuple(int(u) for u in pt) for pt in exponents})
     if not points:
@@ -81,37 +82,45 @@ def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
         if any(u < 0 for u in pt):
             raise ValueError("exponents must be nonnegative")
 
-    facets: Dict[Tuple[Tuple[int, ...], int], None] = {}
-    axes = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for k in range(1, min(n, len(points)) + 1):
-        for T in itertools.combinations(points, k):
-            for free in itertools.combinations(range(n), k):
-                # (a, c) with a zero off `free` and a.pt = c on T spans the kernel
-                # of an n x (n+1) integer system: its signed maximal minors.  The
-                # minor without the c column is the determinant of the k x k
-                # block of [pt_free | 1]; when it is 0 the kernel is wider than a
-                # line or has c = 0, and no facet comes from it.
-                pivots, R, den = _bareiss([[pt[i] for i in free] + [1] for pt in T])
-                if pivots != list(range(k)):
-                    continue
-                nums, c = _reduced([row[k] for row in R], den)  # c > 0: already primitive
-                if any(x < 0 for x in nums):
-                    continue
-                a = [0] * n
-                for i, x in zip(free, nums):
-                    a[i] = x
-                a = tuple(a)
-                if any(sum(x * u for x, u in zip(a, pt)) < c for pt in points):
-                    continue
-                tight_pts = [pt for pt in points if sum(x * u for x, u in zip(a, pt)) == c]
-                tight_dirs = [axes[i] for i in range(n) if a[i] == 0]
-                base = tight_pts[0]
-                spanning = [
-                    [u - b for u, b in zip(pt, base)] for pt in tight_pts[1:]
-                ] + [list(d) for d in tight_dirs]
-                if len(_bareiss(spanning)[0]) == n - 1:
-                    facets[(a, c)] = None
+    facets = []
+    for (nums, den), tight in _vertices([(pt, 1) for pt in points], n).items():
+        rows = [points[h] for h in tight if h < len(points)]
+        rows += [[int(j == i) for j in range(n)] for i in range(n) if nums[i] == 0]
+        if len(_bareiss(rows)[0]) == n:
+            facets.append((nums, den))
     return NewtonPolyhedron(n, tuple(sorted(facets)), tuple(points))
+
+
+def _vertices(halfspaces: Sequence[Tuple[Sequence[int], int]], n: int) -> Dict[IntPoint, frozenset]:
+    """Vertices of {u in [0,1]^n : a.u >= b for every (a, b)}, each with its tight set.
+
+    Double description (Fukuda and Prodon) from the cube: its 2^n corners, then
+    each halfspace in turn drops the vertices it cuts off and adds one point
+    s_v*w - s_w*v (s the slack) on every edge it crosses.  Two vertices span an
+    edge when no third vertex is tight on every halfspace both are tight on,
+    exact for a polytope.  Halfspace h has index h; with F halfspaces, u_i >= 0
+    is F + 2i and u_i <= 1 is F + 2i + 1.  Points are gcd-reduced (numerators,
+    den); a point on an edge is tight where both ends are.
+    """
+    F = len(halfspaces)
+    verts = {}
+    for k in range(2**n):
+        corner = tuple(k >> i & 1 for i in range(n))
+        verts[corner, 1] = frozenset(F + 2 * i + x for i, x in enumerate(corner))
+    for h, (a, b) in enumerate(halfspaces):
+        slack = {v: sum(x * u for x, u in zip(a, v[0])) - b * v[1] for v in verts}
+        kept, new = [v for v in verts if slack[v] > 0], {}
+        for w in (w for w in verts if slack[w] < 0):
+            for v in kept:
+                common = verts[v] & verts[w]
+                # an edge has n - 1 independent tight halfspaces, so at least n - 1
+                if len(common) < n - 1 or any(common <= z for u, z in verts.items() if u is not v and u is not w):
+                    continue
+                (nv, dv), sv, (nw, dw), sw = v, slack[v], w, slack[w]
+                new[_reduced([sv * y - sw * x for x, y in zip(nv, nw)], sv * dw - sw * dv)] = common | {h}
+        verts = {v: z | {h} if slack[v] == 0 else z for v, z in verts.items() if slack[v] >= 0}
+        verts.update(new)
+    return verts
 
 
 # -- clipping and volume ---------------------------------------------------
@@ -164,35 +173,11 @@ def clip(P: NewtonPolyhedron, t) -> ClippedPolytope:
         int_halfspaces += [(e, 0), (tuple(-x for x in e), -td)]
     halfspaces = tuple((tuple(Fraction(x, td) for x in a), Fraction(b, td)) for a, b in int_halfspaces)
 
-    # (numerators, den) -> the halfspaces tight there, or None when infeasible.
-    # A vertex has k facets tight and its other n - k coordinates at 0 or 1.
-    # [A_free | A_fixed | b] of k facets is eliminated once, and every corner
-    # v of the fixed coordinates is read off its reduced rows R:
-    # u_free[i] = (R[i][n] - sum_j R[i][k + j] * v_j) / den.
-    incidence: Dict[IntPoint, Optional[frozenset]] = {}
-    for k in range(min(n, len(facets)) + 1):
-        for combo in itertools.combinations(facets, k):
-            for free in itertools.combinations(range(n), k):
-                fixed = tuple(i for i in range(n) if i not in free)
-                pivots, R, den = _bareiss([[a[i] for i in free + fixed] + [b] for a, b in combo])
-                if pivots != list(range(k)):
-                    continue  # singular on the free coordinates, whatever the corner
-                for values in itertools.product((0, 1), repeat=n - k):
-                    nums = [0] * n
-                    for i, row in zip(free, R):
-                        nums[i] = row[n] - sum(x for x, v in zip(row[k:n], values) if v)
-                    for i, v in zip(fixed, values):
-                        nums[i] = v * den
-                    sol = _reduced(nums, den)
-                    if sol not in incidence:
-                        nums, d = sol  # d > 0, so a negative slack is a violated halfspace
-                        slack = [sum(x * u for x, u in zip(a, nums)) - b * d for a, b in int_halfspaces]
-                        incidence[sol] = None if min(slack) < 0 else frozenset(i for i, s in enumerate(slack) if s == 0)
+    incidence = _vertices(facets, n)
 
     # scaled to one common denominator, integer points sort like the vertices
-    feasible = [(sol, inc) for sol, inc in incidence.items() if inc is not None]
-    den = math.lcm(*(d for (_, d), _ in feasible)) if feasible else 1
-    scaled = sorted((tuple(x * (den // d) for x in nums), inc) for (nums, d), inc in feasible)
+    den = math.lcm(*(d for _, d in incidence))
+    scaled = sorted((tuple(x * (den // d) for x in nums), inc) for (nums, d), inc in incidence.items())
     points = [pt for pt, _ in scaled]
     vertices = tuple(tuple(Fraction(x, den) for x in pt) for pt in points)
 

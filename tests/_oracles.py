@@ -5,7 +5,8 @@ pipeline: reduced bases come from a textbook Buchberger with no pair criterion,
 membership and lengths go through dense Macaulay-style elimination
 on integer lists, areas through the shoelace formula, 3-D volumes through
 exact integration of slice areas, one-halfspace cube volumes through
-inclusion-exclusion over the cube's vertices, powers through repeated
+inclusion-exclusion over the cube's vertices, clip vertices through every
+choice of tight halfspaces and fixed coordinates, powers through repeated
 multiplication on plain dicts.  The one exception is colon_by_quotients, an
 older construction of (I : J) out of fsig's own intersection, kept to check
 the chained colon against.
@@ -114,6 +115,42 @@ def fraction_newton_facets(points: Sequence[Tuple[int, ...]]) -> List[Tuple[Tupl
                 if len(fraction_rref(span)[1]) == n - 1:
                     facets.add((a, c))
     return sorted(facets)
+
+
+def subset_clip_vertices(
+    halfspaces: Sequence[Tuple[Tuple[int, ...], int]], n: int
+) -> Dict[Tuple[Fraction, ...], frozenset]:
+    """Vertices of {u in [0,1]^n : a.u >= b} with their tight sets, by subset enumeration.
+
+    A vertex has k of the halfspaces tight and its other n - k coordinates at
+    0 or 1, so [A_free | A_fixed | b] of each k halfspaces on each k free
+    coordinates is reduced once and every corner of the fixed coordinates is
+    read off it; a candidate is a vertex when it meets every halfspace.  The
+    indices are the clip's: halfspace h is h, then with F halfspaces u_i >= 0
+    is F + 2i and u_i <= 1 is F + 2i + 1.
+    """
+    full = list(halfspaces)
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        full += [(e, 0), (tuple(-x for x in e), -1)]
+    found = {}
+    for k in range(min(n, len(halfspaces)) + 1):
+        for combo in itertools.combinations(halfspaces, k):
+            for free in itertools.combinations(range(n), k):
+                fixed = tuple(i for i in range(n) if i not in free)
+                rref, pivots = fraction_rref([[Fraction(a[i]) for i in free + fixed] + [Fraction(b)] for a, b in combo])
+                if pivots != list(range(k)):
+                    continue
+                for values in itertools.product((0, 1), repeat=n - k):
+                    u = [Fraction(0)] * n
+                    for i, row in zip(free, rref):
+                        u[i] = row[n] - sum(x * v for x, v in zip(row[k:n], values))
+                    for i, v in zip(fixed, values):
+                        u[i] = Fraction(v)
+                    slack = [sum(x * y for x, y in zip(a, u)) - b for a, b in full]
+                    if min(slack) >= 0:
+                        found[tuple(u)] = frozenset(i for i, s in enumerate(slack) if s == 0)
+    return found
 
 
 def dense_rank_modp(rows: List[List[int]], p: int) -> int:

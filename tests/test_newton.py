@@ -77,6 +77,15 @@ def test_polyhedra_and_clips_are_value_records():
         C.nvars = 3
 
 
+def test_generator_at_origin_leaves_the_orthant():
+    # the unit ideal: the blocker {a >= 0 : a.pt >= 1} is empty, so P has no
+    # facets and every clip is the whole cube
+    P = newton_polyhedron([(0, 0), (1, 1)])
+    assert P.facets == ()
+    for t in (0, Fraction(1, 3), 1, 5):
+        assert clip_and_volume(P, t) == 1
+
+
 def test_newton_polyhedron_rejects_bad_input():
     with pytest.raises(ValueError):
         newton_polyhedron([])
@@ -267,16 +276,13 @@ def test_clip_builds_few_simplices():
     assert C.volume() == Fraction(1149360053, 1166400000)
 
 
-def test_clip_eliminates_once_per_facet_and_coordinate_subset(monkeypatch):
-    # a work pin without a wall clock: clip eliminates each k facets on each
-    # k free coordinates once and reads every corner off it, plus one rank
-    # test for full dimension; on this sweep that is 78 calls, where a solve
-    # per corner made 624
+def test_clip_eliminates_at_most_once_per_t(monkeypatch):
+    # a work pin without a wall clock: clip's vertices come from double
+    # description, which needs no elimination, so the one _bareiss pass left
+    # is the full-dimension rank test
     import fsig.newton as newton  # newton calls the _linalg eliminator through its own name
 
     P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
-    F, n = len(P.facets), P.nvars
-    bound = sum(math.comb(F, k) * math.comb(n, k) for k in range(min(n, F) + 1)) + 1
     calls = []
     real = newton._bareiss
 
@@ -288,7 +294,39 @@ def test_clip_eliminates_once_per_facet_and_coordinate_subset(monkeypatch):
     for k in range(13):
         calls.clear()
         clip(P, Fraction(k, 12))
-        assert 0 < len(calls) <= bound, (k, len(calls), bound)
+        assert len(calls) <= 1, (k, len(calls))
+
+
+def test_six_variable_clip_with_22_facets():
+    # <x^2*y*u, y^3*z*v, x*z^2*w^2, w*u^3*v> over x, y, z, w, u, v: 125
+    # vertices out of Σ_k C(22,k)·C(6,k)·2^(6−k) = 1,135,649 choices of tight
+    # facets and corners, so only an output-sensitive enumeration is quick
+    exps = [(2, 1, 0, 0, 1, 0), (0, 3, 1, 0, 0, 1), (1, 0, 2, 2, 0, 0), (0, 0, 0, 1, 3, 1)]
+    P = newton_polyhedron(exps)
+    assert len(P.facets) == 22
+    C = clip(P, Fraction(1, 2))
+    assert len(C.vertices) == 125 and len(C.int_simplices) == 2857
+    assert C.volume() == Fraction(553859, 1492992)
+
+
+def test_clip_vertices_match_subset_oracle_randomized():
+    # double description against every choice of tight facets and fixed
+    # coordinates: the same vertices with the same tight halfspaces
+    from fsig.newton import _vertices
+    from _oracles import subset_clip_vertices
+
+    ts = [Fraction(1, 7), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for n in range(2, 6):
+            for _ in range(7 - n):
+                exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7 - n))]
+                P, t = newton_polyhedron(exps), rng.choice(ts)
+                facets = [(tuple(t.denominator * x for x in a), t.numerator * c) for a, c in P.facets]
+                oracle = subset_clip_vertices(facets, n)
+                got = {tuple(Fraction(x, d) for x in nums): inc for (nums, d), inc in _vertices(facets, n).items()}
+                assert got == oracle, (exps, t)
+                assert clip(P, t).vertices == tuple(sorted(oracle)), (exps, t)
 
 
 def test_monomial_4var_pinned_volumes():
@@ -354,6 +392,11 @@ def test_facets_match_fraction_kernel_oracle_randomized():
     rng = random.Random(515)
     for _ in range(80):
         n = rng.randint(2, 5)
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        if not any(map(any, exps)):
+            continue
+        assert list(newton_polyhedron(exps).facets) == fraction_newton_facets(exps), exps
+    for n in (1, 6) * 10:
         exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 5))]
         if not any(map(any, exps)):
             continue
