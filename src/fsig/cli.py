@@ -28,7 +28,6 @@ from .poly import (
 )
 
 if TYPE_CHECKING:
-    from .signature import SplittingReport
     from .systems import FGradedSystem
 
 MODES = ("signature", "ratio", "prime", "fpure", "monomial")
@@ -47,19 +46,11 @@ class ProblemError(ValueError):
 class Problem(Record):
     __slots__ = _fields = (
         "p", "variables", "order_name", "system_ast", "mode", "emax", "ceiling", "t_sweep",
-        "threshold_deg", "method", "system_pos",
+        "threshold_deg", "method", "system_pos",  # system_pos: line, column of the system key
     )
-
-    def __init__(
-        self, p: int, variables: Tuple[str, ...], order_name: str, system_ast: tuple, mode: str,
-        emax: int, ceiling: str = "pminusone",
-        t_sweep: Optional[Tuple[Fraction, Fraction, Fraction]] = None,
-        threshold_deg: Optional[int] = None, method: str = "both",
-        system_pos: Tuple[int, int] = (0, 0),  # line, column of the system key
-    ):
-        self._set_fields(
-            p, variables, order_name, system_ast, mode, emax, ceiling, t_sweep, threshold_deg, method, system_pos
-        )
+    _defaults = {
+        "ceiling": "pminusone", "t_sweep": None, "threshold_deg": None, "method": "both", "system_pos": (0, 0),
+    }
 
     def ring(self) -> PolyRing:
         return PolyRing.make(self.p, self.variables, ORDERS[self.order_name])
@@ -75,14 +66,7 @@ class Problem(Record):
 
 class RunResult(Record):
     __slots__ = _fields = ("problem", "report", "monomial_rows", "transcript", "candidate_absent_reason")
-
-    def __init__(
-        self, problem: Problem, report: Optional[SplittingReport] = None,
-        monomial_rows: Optional[List[Tuple[Fraction, Fraction]]] = None,
-        transcript: Optional[List[str]] = None, candidate_absent_reason: Optional[str] = None,
-    ):
-        transcript = [] if transcript is None else transcript
-        self._set_fields(problem, report, monomial_rows, transcript, candidate_absent_reason)
+    _defaults = {"report": None, "monomial_rows": None, "transcript": (), "candidate_absent_reason": None}
 
 
 # -- parsing --------------------------------------------------------------
@@ -183,6 +167,27 @@ def _key_fields(inner: str, line: int, col: int) -> Dict[str, Tuple[int, str]]:
     return fields
 
 
+def _choice(entry: Optional[Tuple[int, int, str]], choices, what: str, default: Optional[str] = None) -> str:
+    """The value of an enumerated key, or default when the file omits it."""
+    if entry is None:
+        return default
+    lineno, col, val = entry
+    if val.strip() not in choices:
+        raise ProblemError(f"unknown {what} {val.strip()!r}", lineno, col)
+    return val.strip()
+
+
+def _integer(entry: Optional[Tuple[int, int, str]], default: Optional[int] = None) -> int:
+    """The value of an integer key, or default when the file omits it."""
+    if entry is None:
+        return default
+    lineno, col, val = entry
+    try:
+        return int(val.strip())
+    except ValueError:
+        raise ProblemError(f"bad integer {val.strip()!r}", lineno, col) from None
+
+
 def parse_problem_file(text: str) -> Problem:
     """Parse and semantically validate a problem file."""
     entries: Dict[str, Tuple[int, int, str]] = {}
@@ -206,47 +211,21 @@ def parse_problem_file(text: str) -> Problem:
         if required not in entries:
             raise ProblemError(f"missing required key {required!r}", 1, 1)
 
-    lineno, col, val = entries["p"]
-    try:
-        p = int(val.strip())
-    except ValueError:
-        raise ProblemError(f"bad integer {val.strip()!r}", lineno, col) from None
+    p = _integer(entries["p"])
     if not is_prime(p):
-        raise ProblemError(f"p = {p} is not prime", lineno, col)
+        raise ProblemError(f"p = {p} is not prime", *entries["p"][:2])
 
     lineno, col, val = entries["vars"]
     variables = tuple(v.strip() for v in val.split(","))
     if not all(map(is_identifier, variables)) or len(set(variables)) != len(variables):
         raise ProblemError("vars must be distinct non-empty identifiers", lineno, col)
 
-    order_name = "degrevlex"
-    if "order" in entries:
-        lineno, col, val = entries["order"]
-        order_name = val.strip()
-        if order_name not in ORDERS:
-            raise ProblemError(f"unknown order {order_name!r}", lineno, col)
-
-    ceiling = "pminusone"
-    if "ceiling" in entries:
-        lineno, col, val = entries["ceiling"]
-        ceiling = val.strip()
-        if ceiling not in CEILING_MODES:
-            raise ProblemError(f"unknown ceiling convention {ceiling!r}", lineno, col)
-
-    lineno, col, val = entries["mode"]
-    mode = val.strip()
-    if mode not in MODES:
-        raise ProblemError(f"unknown mode {mode!r}", lineno, col)
-
-    emax = 3
-    if "emax" in entries:
-        lineno, col, val = entries["emax"]
-        try:
-            emax = int(val.strip())
-        except ValueError:
-            raise ProblemError(f"bad integer {val.strip()!r}", lineno, col) from None
-        if emax < 1:
-            raise ProblemError("emax must be >= 1", lineno, col)
+    order_name = _choice(entries.get("order"), ORDERS, "order", "degrevlex")
+    ceiling = _choice(entries.get("ceiling"), CEILING_MODES, "ceiling convention", "pminusone")
+    mode = _choice(entries["mode"], MODES, "mode")
+    emax = _integer(entries.get("emax"), 3)
+    if emax < 1:
+        raise ProblemError("emax must be >= 1", *entries["emax"][:2])
 
     t_sweep = None
     if "t_sweep" in entries:
@@ -357,7 +336,7 @@ def run(problem: Problem) -> RunResult:
             system, problem.emax, method=problem.method, on_cap="partial"
         )
         report.prime_candidate = candidate
-        transcript = list(diag.get("compatibility", []))
+        transcript = tuple(diag.get("compatibility", ()))
         reason = None if candidate is not None else str(diag.get("reason"))
         return RunResult(problem, report=report, transcript=transcript,
                          candidate_absent_reason=reason)

@@ -55,11 +55,6 @@ class NewtonPolyhedron(FrozenRecord):
 
     __slots__ = _fields = ("nvars", "facets", "generators")
 
-    def __init__(
-        self, nvars: int, facets: Tuple[Tuple[Tuple[int, ...], int], ...], generators: Tuple[Tuple[int, ...], ...]
-    ):
-        self._set_fields(nvars, facets, generators)
-
 
 def newton_polyhedron(exponents: Sequence[Sequence[int]]) -> NewtonPolyhedron:
     """Irredundant facet description of conv(exponents) + orthant.
@@ -134,12 +129,6 @@ class ClippedPolytope(FrozenRecord):
     """
 
     __slots__ = _fields = ("nvars", "halfspaces", "vertices", "int_simplices")
-
-    def __init__(
-        self, nvars: int, halfspaces: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...],
-        vertices: Tuple[Vector, ...], int_simplices: Tuple[Tuple[IntPoint, ...], ...],
-    ):
-        self._set_fields(nvars, halfspaces, vertices, int_simplices)
 
     @property
     def simplices(self) -> Tuple[Tuple[Vector, ...], ...]:

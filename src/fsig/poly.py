@@ -12,7 +12,7 @@ turns into exit codes, and the ceiling conventions of a pair system.
 from __future__ import annotations
 
 from operator import add, attrgetter, le, neg, sub
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 Exponents = Tuple[int, ...]
 
@@ -24,22 +24,38 @@ class Record:
 
     Records compare field by field, and only with records of the same class;
     they print as Name(field=value, ...) and are unhashable.  A FrozenRecord
-    is immutable and hashes by its fields.  __init__ validates, then sets the
-    fields in order with _set_fields.  Each subclass gets _values, one
-    attrgetter over its _fields.
+    is immutable and hashes by its fields.  __init__ binds positional values
+    to _fields in order, then keywords; an omitted field takes its value from
+    the class's _defaults, and a surplus, unknown, repeated or missing field
+    is a TypeError.  A subclass that validates does so after super().__init__.
+    Each subclass gets _values, one attrgetter over its _fields.
     """
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _defaults: Dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if cls._fields:
             cls._values = attrgetter(*cls._fields)
+        if cls._defaults.keys() - set(cls._fields):
+            raise TypeError(f"{cls.__name__}._defaults names a key outside _fields {cls._fields}")
 
-    def _set_fields(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs):
+        name, fields = self.__class__.__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for key in kwargs:
+            if key in given or key not in fields:
+                problem = "multiple values for" if key in given else "an unexpected"
+                raise TypeError(f"{name}() got {problem} field {key!r}")
+        values = {**self._defaults, **given, **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing field {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def __eq__(self, other):
         if self is other:
@@ -133,10 +149,10 @@ class PrimeField(FrozenRecord):
 
     __slots__ = _fields = ("p",)
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self._set_fields(p)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -159,13 +175,15 @@ class TermOrder(FrozenRecord):
 
     _fields = ("kind", "block_size", "inner")
     __slots__ = _fields + ("key",)
+    _defaults = {"kind": "degrevlex", "block_size": 0, "inner": None}
 
-    def __init__(self, kind: str = "degrevlex", block_size: int = 0, inner: Optional["TermOrder"] = None):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        kind, b, inner = self._values(self)
         if kind not in ("degrevlex", "lex", "block"):
             raise ValueError(f"unknown term order {kind!r}")
-        if kind == "block" and (block_size < 1 or inner is None):
+        if kind == "block" and (b < 1 or inner is None):
             raise ValueError("block order needs block_size >= 1 and an inner order")
-        b = block_size
         if kind == "lex":
             key = tuple
         elif kind == "degrevlex":
@@ -178,7 +196,6 @@ class TermOrder(FrozenRecord):
         else:
             def key(exps, inner=inner.key):
                 return (sum(exps[:b]), *map(neg, reversed(exps[:b])), *inner(exps[b:]))
-        self._set_fields(kind, block_size, inner)
         object.__setattr__(self, "key", key)
 
     def greater(self, a: Exponents, b: Exponents) -> bool:
@@ -218,9 +235,7 @@ class PolyRing(FrozenRecord):
     """
 
     __slots__ = _fields = ("field", "variables", "order")
-
-    def __init__(self, field: PrimeField, variables: Tuple[str, ...], order: TermOrder = DEGREVLEX):
-        self._set_fields(field, variables, order)
+    _defaults = {"order": DEGREVLEX}
 
     @staticmethod
     def make(p: int, variables, order: TermOrder = DEGREVLEX) -> "PolyRing":

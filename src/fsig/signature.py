@@ -182,9 +182,6 @@ def splitting_number(sys: FGradedSystem, e: int, method: str = "both") -> int:
 class Row(FrozenRecord):
     __slots__ = _fields = ("e", "a_e", "s_e")
 
-    def __init__(self, e: int, a_e: int, s_e: Fraction):
-        self._set_fields(e, a_e, s_e)
-
 
 class SplittingReport(Record):
     """Per-level table plus convergence and semigroup diagnostics."""
@@ -194,17 +191,15 @@ class SplittingReport(Record):
         "f_pure", "witness", "prime_candidate", "ratio_rows", "ratio_estimate", "ratio_envelope",
         "ratio_dimension", "partial", "notes",
     )
+    _defaults = {
+        "prime_candidate": None, "ratio_rows": None, "ratio_estimate": None, "ratio_envelope": None,
+        "ratio_dimension": None, "partial": False, "notes": (),
+    }
 
-    def __init__(
-        self, p: int, variables: Tuple[str, ...], system: str, d: int, rows: Tuple[Row, ...],
-        estimate: Optional[Fraction], error_envelope: Optional[Fraction], gamma: Tuple[int, ...],
-        index: Optional[int], f_pure: bool, witness: Optional[int],
-        prime_candidate: Optional[Ideal] = None,
-        ratio_rows: Optional[Tuple[Tuple[int, Fraction], ...]] = None,
-        ratio_estimate: Optional[Fraction] = None, ratio_envelope: Optional[Fraction] = None,
-        ratio_dimension: Optional[int] = None, partial: bool = False, notes: Tuple[str, ...] = (),
-    ):
-        n = len(variables)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        p, rows, gamma = self.p, self.rows, self.gamma
+        n = len(self.variables)
         for row in rows:
             if not (0 <= row.s_e <= 1):
                 raise InternalInvariantError(f"s_{row.e} = {row.s_e} outside [0, 1]")
@@ -217,27 +212,23 @@ class SplittingReport(Record):
                     raise InternalInvariantError(
                         f"observed level set not closed under addition at {e1}+{e2}"
                     )
-        self._set_fields(
-            p, variables, system, d, rows, estimate, error_envelope, gamma, index, f_pure, witness,
-            prime_candidate, ratio_rows, ratio_estimate, ratio_envelope, ratio_dimension, partial, notes,
-        )
 
 
-def _fit_tail(rows: Sequence[Row], p: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """Least-squares fit of s_e = L + c*p^-e over the last (up to) three rows.
+def _fit_tail(points: Sequence[Tuple[int, Fraction]], p: int) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """Least-squares fit of s_e = L + c*p^-e over the last (up to) three (e, s_e) points.
 
     Returns (L clamped into [0, 1], |c|/p^emax + the clamp distance), so the
     interval around the estimate still covers the raw fitted L.  The envelope
     is a fit diagnostic, not a proven bound on the limit.
     """
-    if not rows:
+    if not points:
         return None, None
-    tail = rows[-3:]
-    emax = tail[-1].e
+    tail = points[-3:]
+    emax = tail[-1][0]
     if len(tail) == 1:
-        return tail[0].s_e, Fraction(0)
-    xs = [Fraction(1, p**r.e) for r in tail]
-    ss = [r.s_e for r in tail]
+        return tail[0][1], Fraction(0)
+    xs = [Fraction(1, p**e) for e, _ in tail]
+    ss = [s for _, s in tail]
     k = len(tail)
     sx = sum(xs)
     sxx = sum(x * x for x in xs)
@@ -248,13 +239,6 @@ def _fit_tail(rows: Sequence[Row], p: int) -> Tuple[Optional[Fraction], Optional
     L = (sy * sxx - sx * sxy) / det
     clamped = min(max(L, Fraction(0)), Fraction(1))
     return clamped, abs(c) / p**emax + abs(L - clamped)
-
-
-def _default_dimension(sys: FGradedSystem) -> int:
-    if isinstance(sys, QuotientSystem):  # the local ring of S/J at the origin
-        return krull_dimension(tangent_cone(sys.J))
-    # pair and product families measure against the full ambient ring
-    return sys.ring.nvars
 
 
 def signature_sequence(
@@ -274,7 +258,7 @@ def signature_sequence(
     ring = sys.ring
     p = ring.p
     if d is None:
-        d = _default_dimension(sys)
+        d = ratio_dimension(sys, Ideal(ring, []))
     rows: List[Row] = []
     partial = False
     notes: List[str] = []
@@ -293,7 +277,7 @@ def signature_sequence(
         rows.append(Row(e, a_e, Fraction(a_e, p ** (e * d))))
     gamma = tuple(r.e for r in rows if r.a_e)
     index = math.gcd(*gamma) if gamma else None
-    estimate, envelope = _fit_tail(rows, p)
+    estimate, envelope = _fit_tail([(r.e, r.s_e) for r in rows], p)
     return SplittingReport(
         p=p,
         variables=ring.variables,
@@ -402,7 +386,11 @@ def splitting_prime_candidate(
 
 
 def ratio_dimension(sys: FGradedSystem, C: Ideal) -> int:
-    """Normalization dimension for ratios: dim of the candidate's quotient locus at 0."""
+    """The dimension at the origin of S/(C + J) for a quotient system, of S/C otherwise.
+
+    With C = 0 it is the signature's d: dim of S/J at 0 for a quotient, the
+    number of variables n for a pair or product family.
+    """
     if isinstance(sys, QuotientSystem):
         C = ideal_sum(C, sys.J)
     return krull_dimension(tangent_cone(C))
@@ -435,8 +423,7 @@ def splitting_ratio(
             raise InfeasibleError(
                 f"r_{e} = {r_e} outside (0, 1]; candidate is not the splitting prime"
             )
-    fit_rows = [Row(e, 0, r) for e, r in ratio_rows if e in report.gamma]
-    ratio_estimate, ratio_envelope = _fit_tail(fit_rows, p)
+    ratio_estimate, ratio_envelope = _fit_tail([(e, r) for e, r in ratio_rows if e in report.gamma], p)
     report.prime_candidate = candidate
     report.ratio_rows = ratio_rows
     report.ratio_estimate = ratio_estimate

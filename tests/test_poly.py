@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from fsig.poly import (
     DEGREVLEX,
     LEX,
+    FrozenRecord,
     PolyParseError,
     PolyRing,
     Polynomial,
     PrimeField,
+    Record,
     RingMismatchError,
     TermOrder,
     frobenius_power,
@@ -80,6 +83,58 @@ def test_records_are_frozen_and_validate_in_init():
         TermOrder("block", 1)
     with pytest.raises(ValueError, match="modulus 4 is not prime"):
         PrimeField(4)
+
+
+class _Point(FrozenRecord):
+    __slots__ = _fields = ("x", "y", "z")
+    _defaults = {"z": 0}
+
+
+def test_record_binds_positional_values_then_keywords():
+    assert _Point(1, 2) == _Point(1, y=2) == _Point(y=2, x=1) == _Point(1, 2, 0)
+    assert _Point(1, 2, z=3).z == 3 and _Point(1, 2).z == 0
+    assert repr(_Point(1, 2)) == "_Point(x=1, y=2, z=0)"
+    assert hash(_Point(1, 2)) == hash(_Point(x=1, y=2, z=0))
+    with pytest.raises(TypeError, match="takes 3 fields but 4 were given"):
+        _Point(1, 2, 3, 4)
+    with pytest.raises(TypeError, match="an unexpected field 'w'"):
+        _Point(1, 2, w=3)
+    with pytest.raises(TypeError, match="multiple values for field 'x'"):
+        _Point(1, 2, x=3)
+    with pytest.raises(TypeError, match="missing field 'y'"):
+        _Point(1, z=3)
+    with pytest.raises(TypeError, match="missing field 'p'"):
+        PrimeField()
+
+
+def test_record_defaults_must_name_fields():
+    with pytest.raises(TypeError, match="_defaults names a key outside _fields"):
+        class _Typo(Record):
+            __slots__ = _fields = ("kind",)
+            _defaults = {"knid": "lex"}
+
+
+def test_every_record_class_rebinds_its_own_fields():
+    from fsig.cli import parse_problem_file, run
+    from fsig.newton import clip, newton_polyhedron
+    from fsig.signature import Row
+
+    problem = parse_problem_file(
+        "p = 3\nvars = x, y, z\nsystem = quotient { J = [ x^2 - y^2*z ] }\nmode = prime\nemax = 2\n"
+    )
+    result = run(problem)
+    P = newton_polyhedron([(2, 0), (0, 3)])
+    records = [
+        PrimeField(5), TermOrder("block", 1, LEX), ring3(), Row(1, 5, Fraction(5, 9)),
+        result.report, problem, result, P, clip(P, Fraction(1, 2)),
+    ]
+    assert len({type(r) for r in records}) == 9
+    for r in records:
+        values = [getattr(r, name) for name in r._fields]
+        again = type(r)(*values)
+        assert again == r == type(r)(**dict(zip(r._fields, values)))
+        if isinstance(r, FrozenRecord):
+            assert hash(again) == hash(r)
 
 
 def test_parse_basic_reduction():
