@@ -11,7 +11,7 @@ each reduced-basis element off the labels of a dependent row; the rank
 route counts the pivots of its blocks.  It descends level by level, on one
 walk: the cells whose rows became pivots at level e - 1 are a monomial
 basis D_{e-1} of S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by
-one exact division for principal b_e and b_{e-1}) the rows of their lifts
+normal forms, for any b_e and b_{e-1}) the rows of their lifts
 p*d + r, r in [0, p)^n, span the whole row space of level e, so it
 eliminates only those.  Every other level lifts every cell of the box of
 level e - 1 by p, the whole box: b_0 = S and I_0 = m, so b_e lies in
@@ -46,8 +46,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .groebner import Ideal, krull_dimension, normal_form, quotient_length
-from .ideals import ExactDivisionError, bracket_power, colon, exact_divide, ideal_sum, tangent_cone
+from .groebner import GroebnerBasis, Ideal, krull_dimension, normal_form, quotient_length
+from .ideals import bracket_power, colon, ideal_sum, tangent_cone
 from .poly import (
     FrozenRecord,
     InfeasibleError,
@@ -109,23 +109,23 @@ def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
 
 
 def _descends(sys: FGradedSystem, e: int) -> bool:
-    """Whether b_e lies in b_{e-1}^[p], certified for principal b_e and b_{e-1}.
+    """Whether b_e lies in b_{e-1}^[p]: each generator of b_e has normal form 0 modulo it.
 
     Then I_{e-1}^[p] lies in I_e: g*b_{e-1} in m^[q/p] gives g^p*b_e in
-    m^[q].  One exact division of b_e's generator by the p-th power of
-    b_{e-1}'s decides it.  Level 1 never descends: its whole box is already
-    the lift of D_0 = {0} by p.
+    m^[q].  The p-th powers of b_{e-1}'s reduced basis are a reduced basis
+    of b_{e-1}^[p] (S(g^p, h^p) = S(g, h)^p), so no Buchberger run is made on
+    it.  A resource cap on b_{e-1}'s basis leaves the level uncertified.
+    Level 1 never descends: its box is already the lift of D_0 = {0} by p.
     """
     if e < 2:
         return False
-    now, before = sys.b_of(e).generators, sys.b_of(e - 1).generators
-    if len(now) != 1 or len(before) != 1:
-        return False
+    before = sys.b_of(e - 1)
     try:
-        exact_divide(now[0], before[0].frobenius(1))
-    except ExactDivisionError:
+        basis = before.groebner_basis()
+    except ResourceLimitError:
         return False
-    return True
+    bracket = GroebnerBasis(sys.ring, [g.frobenius(1) for g in basis])
+    return all(normal_form(g, bracket).is_zero() for g in sys.b_of(e).generators)
 
 
 def _pivot_cells(sys: FGradedSystem, e: int) -> array:
@@ -133,13 +133,13 @@ def _pivot_cells(sys: FGradedSystem, e: int) -> array:
 
     Rows are independent exactly when their monomials are independent modulo
     I_e, so D_e is a monomial basis of S/I_e and a_e = |D_e|.  When
-    _descends(sys, e), S/I_e is spanned by the lifts p*d + r, r in [0, p)^n,
-    of D_{e-1} (S is free over S^p on the x^r), and level e eliminates only
-    their rows; otherwise it lifts every cell of the box [0, q/p)^n by p,
-    which is the whole box (b_e lies in b_0^[q] = S), one torus block at a
-    time.  The cells are indices of the box [0, q)^n, re-sorted into cell
-    order, 4 bytes each while they fit.  Only level e + 1 reads D_e, so the
-    memo drops D_{e-1} once D_e is built.
+    _descends(sys, e), b_e principal or not, S/I_e is spanned by the lifts
+    p*d + r, r in [0, p)^n, of D_{e-1} (S is free over S^p on the x^r), and
+    level e eliminates only their rows; otherwise it lifts every cell of the
+    box [0, q/p)^n by p, which is the whole box (b_e lies in b_0^[q] = S),
+    one torus block at a time.  The cells are indices of the box [0, q)^n,
+    re-sorted into cell order, 4 bytes each while they fit.  Only level
+    e + 1 reads D_e, so the memo drops D_{e-1} once D_e is built.
     """
     got = sys.pivot_cells.get(e)
     if got is None:

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from _oracles import box_multiplication_rank, union_of_boxes_count
-from fsig import _linalg
+from fsig import _linalg, groebner
 from fsig._linalg import Echelon, box_rows, torus_grading
 from fsig.groebner import Ideal, ideal_membership, quotient_length
 from fsig.ideals import bracket_power, colon, ideal_equals, ideal_sum
-from fsig.poly import PolyRing, Polynomial
+from fsig.poly import PolyRing, Polynomial, ResourceLimitError
 import fsig.signature as signature
 from fsig.signature import (
     InfeasibleError,
@@ -427,6 +427,16 @@ def _snc(p):
     return ProductSystem(R, [_pair(R, "x", Fraction(1, 2)), _pair(R, "y", Fraction(1, 2))])
 
 
+def _twisted_cubic(p=3):
+    R = PolyRing.make(p, ["x", "y", "z", "w"])
+    return QuotientSystem(R, Ideal(R, [R.parse(g) for g in ("x*z - y^2", "x*w - y*z", "y*w - z^2")]))
+
+
+def _ungraded_pair():
+    R = PolyRing.make(3, ["x", "y"])
+    return PairSystem(R, Ideal(R, [R.parse("x^2 - y"), R.parse("y^2 - x*y")]), Fraction(1, 2))
+
+
 # Pins and provenance as in perfbench/cases.py: cone a_e = q^2/2 and snc
 # a_e = ((q + 1)/2)^2 are closed forms; the cusp values have no closed form
 # and were matched by an independent dense rank over weighted-degree blocks.
@@ -480,8 +490,10 @@ def test_descent_without_its_certificate_gives_a_wrong_count(monkeypatch):
         (lambda: _cusp(5), ()),
         (lambda: _cusp(5, Fraction(1, 5)), ()),
         (lambda: _cone(3), ()),
+        (_twisted_cubic, ()),
+        (_ungraded_pair, (1, 2, 3)),
     ],
-    ids=["cusp-p3-t1/2", "cusp-p3-t1/5", "cusp-p5-t1/2", "cusp-p5-t1/5", "cone-p3"],
+    ids=["cusp-p3-t1/2", "cusp-p3-t1/5", "cusp-p5-t1/2", "cusp-p5-t1/5", "cone-p3", "twisted-cubic-p3", "ungraded-pair"],
 )
 def test_descent_certificate_gives_the_frobenius_facts(system, uncertified):
     # where b_{e+1} lies in b_e^[p], I_e^[p] lies in I_{e+1} (basis route),
@@ -498,7 +510,8 @@ def test_descent_certificate_gives_the_frobenius_facts(system, uncertified):
             assert a[e + 1] <= p**n * a[e], e
         else:
             assert e in uncertified
-    if uncertified:
+    assert not any(_descends(sys_, e + 1) for e in uncertified)
+    if uncertified == (1,):
         # cusp t = 1/5, p = 3 at e = 1: N = 1, 2, the containment fails, and
         # the 27 lifts of a basis of S/I_1 cannot span S/I_2, of length 45
         assert not all(ideal_membership(g, ideals[2]) for g in bracket_power(ideals[1], 1).generators)
@@ -629,6 +642,70 @@ def test_blocked_rank_matches_dense_rank_on_graded_systems_randomized(monkeypatc
                 graded[has_grading] += 1
                 several += nonempty > 1
     assert min(graded) >= 3 and several >= 10, (graded, several)
+
+
+def test_descent_certificate_on_non_principal_b_e_randomized(monkeypatch):
+    # non-principal quotients (2-3 binomials or trinomials), two-generator
+    # pairs and products with one, over p in {2, 3, 5}: the certificate
+    # against membership in b_{e-1}^[p] by a Buchberger run on the bracket
+    # power itself, and each certified level against the dense rank, with
+    # D_e the pivot set of one echelon over the lifts of D_{e-1}.  A quotient's
+    # generators are homogeneous: a random ungraded J can take minutes to
+    # build b_3 (Buchberger's caps bound pairs, not work)
+    monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
+    rng = random.Random(2525)
+    shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
+    kinds = ["quotient", "pair2", "product"]
+    certified = [0, 0]  # non-principal levels without and with the certificate
+    for draw in range(10):
+        (p, n, emax), kind = shapes[draw % 5], kinds[draw % 3]
+        R = PolyRing.make(p, ["x", "y", "z"][:n])
+        polys = []
+        for _ in range(3):
+            degree = rng.randint(2, 3)
+            pool = [m for m in itertools.product(range(4), repeat=n)
+                    if (sum(m) == degree if kind == "quotient" else 0 < max(m) < 3)]
+            polys.append(Polynomial(R, {m: rng.randint(1, p - 1) for m in rng.sample(pool, rng.randint(2, 3))}))
+        t = Fraction(1, rng.randint(2, 4))
+        if kind == "quotient":
+            sys_ = QuotientSystem(R, Ideal(R, polys[: rng.randint(2, 3)]))
+        elif kind == "pair2":
+            sys_ = PairSystem(R, Ideal(R, polys[:2]), t)
+        else:
+            sys_ = ProductSystem(R, [PairSystem(R, Ideal(R, polys[:2]), t), PairSystem(R, Ideal(R, polys[2:]), t)])
+        for e in range(2, emax + 1):
+            now, before = sys_.b_of(e), sys_.b_of(e - 1)
+            got = _descends(sys_, e)
+            assert got == all(ideal_membership(g, bracket_power(before, 1)) for g in now.generators), (sys_, e)
+            if got and not now.is_monomial():  # a monomial b_e is counted on its staircase
+                parents = list(signature._pivot_cells(sys_, e - 1))
+                gens = [g.terms for g in now.generators]
+                expected = box_multiplication_rank(gens, n, p, p**e)
+                assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
+                _check_blocked_level(sys_, e, parents, expected)
+            if len(now.generators) > 1 or len(before.generators) > 1:
+                certified[got] += 1
+    assert min(certified) >= 3, certified
+
+
+def test_descent_certificate_under_a_buchberger_cap(monkeypatch):
+    # b_1 = <x^2 + y*z, y^2 + x*z, z^2 + x*y>, b_2 = b_1^[3]: certified, until a
+    # cap trips while b_1's basis is built; the level then walks the whole box
+    R = PolyRing.make(3, ["x", "y", "z"])
+    b1 = Ideal(R, [R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")])
+
+    class Bracketed(_FixedSystem):
+        def _compute(self, e):
+            return self.ideal if e == 1 else bracket_power(self.ideal, e - 1)
+
+    assert _descends(Bracketed(R, b1), 2)
+    sys_ = Bracketed(R, Ideal(R, b1.generators))
+    monkeypatch.setattr(groebner.buchberger, "__defaults__", (1, groebner.DEFAULT_MAX_BASIS))
+    with pytest.raises(ResourceLimitError):
+        sys_.b_of(1).groebner_basis()
+    assert not _descends(sys_, 2)
+    gens = [g.terms for g in sys_.b_of(2).generators]
+    assert splitting_number(sys_, 2, method="linear") == box_multiplication_rank(gens, 3, 3, 9)
 
 
 def test_rank_route_memory_canary():

@@ -16,9 +16,10 @@ import itertools
 
 import pytest
 
+from fsig import _linalg
 from fsig.groebner import Ideal
 from fsig.poly import PolyRing
-from fsig.signature import splitting_number
+from fsig.signature import _descends, splitting_number
 from fsig.systems import QuotientSystem
 
 TWISTED_CUBIC = ["x*z - y^2", "x*w - y*z", "y*w - z^2"]
@@ -43,14 +44,15 @@ def _toric_count(rays, q):
 
 
 # (variables, generators of J, rays, p, the last level checked by both routes,
-# whether the rank route alone checks one level more: principal J only)
+# whether the rank route alone checks one level more, which it can afford
+# where that level descends: it walks only the p^n * a_emax lifts)
 CASES = [
     *(
         pytest.param(["x", "y", "z"], [f"x*y - z^{n + 1}"], [(0, 1), (n + 1, -n)], p, 3, p < 5, id=f"A{n}-p{p}")
         for n in (1, 2, 3)
         for p in (2, 3, 5)
     ),
-    pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 2, 3, False, id="twisted-cubic-p2"),
+    pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 2, 3, True, id="twisted-cubic-p2"),
     pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 3, 3, False, id="twisted-cubic-p3"),
     pytest.param(["x", "y", "z", "w"], TWISTED_CUBIC, [(0, 1), (3, -1)], 5, 2, False, id="twisted-cubic-p5"),
     pytest.param(["a", "b", "c", "d", "f"], QUARTIC, [(0, 1), (4, -1)], 2, 2, False, id="quartic-curve-p2"),
@@ -80,3 +82,27 @@ def test_toric_count_gives_the_recorded_pins():
     assert [_toric_count([(0, 1), (3, -1)], 3**e) for e in (1, 2, 3)] == [3, 27, 243]
     assert [_toric_count(CONIFOLD_RAYS, 2**e) for e in (1, 2)] == [6, 44]
     assert [_toric_count(CONIFOLD_RAYS, 3**e) for e in (1, 2)] == [19, 489]
+
+
+def test_twisted_cubic_p3_walks_the_lifts_of_its_basis(monkeypatch):
+    # b_2 lies in b_1^[3] and b_3 in b_2^[3], so levels 2 and 3 walk the
+    # p^n * a_{e-1} lifts of D_{e-1}: 2,187 cells at e = 3, not 27^4 = 531,441
+    R = PolyRing.make(3, ["x", "y", "z", "w"])
+    system = QuotientSystem(R, Ideal(R, [R.parse(g) for g in TWISTED_CUBIC]))
+    walked = []
+    box_rows = _linalg.box_rows
+
+    def counted(box, polys):
+        row, blocks = box_rows(box, polys)
+
+        def lifting(parents, s):
+            parents = list(parents)
+            walked.append(len(parents) * s ** len(box))
+            return blocks(parents, s)
+
+        return row, lifting
+
+    monkeypatch.setattr(_linalg, "box_rows", counted)
+    assert splitting_number(system, 3, "linear") == _toric_count([(0, 1), (3, -1)], 27) == 243
+    assert _descends(system, 2) and _descends(system, 3)
+    assert walked == [3**4, 3**4 * 3, 3**4 * 27] == [81, 243, 2187]
