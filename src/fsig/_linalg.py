@@ -1,44 +1,30 @@
-"""The box matrix of both a_e routes, incremental row echelon over F_p, and
-the one integer eliminator.
+"""The box rows of the zero-dimensional colon, incremental row echelon over
+F_p, and the one integer eliminator.
 
 _bareiss, fraction-free Gauss-Jordan over the integers, gives every exact
-rank, determinant, solution and kernel on the integer side: the torus
-grading here and the facets, clip vertices and volumes of fsig.newton.
+rank, determinant, solution and kernel on the integer side: the facets,
+clip vertices and volumes of fsig.newton.
 
 box_rows alone knows the multiplication matrix of S/<x_i^{box_i}>: its
 columns and which cells have a row.  Its one row builder serves row(g) for
-one cell (the colon's term-order walk) and blocks(parents, s), the rank
-route's walk of the lifts s*d + r, r in [0, s)^n, of a set of parent cells
-d.  The rank route's descent lifts the previous level's pivot cells by p; a
-level with no descent lifts every cell of the previous level's box by p,
-which is the whole box [0, q)^n.  When every generator f_j is homogeneous
-for a torus grading W (torus_grading, the integer kernel of the differences
-of f_j's exponents, read off one pass of _bareiss), the row of cell g
-writes only columns t of f_j with W*t - W*m_j = W*g: the matrix is block
-diagonal in W*g, its rank the sum of the block ranks, and blocks walks it
-block by block.  A vector is a dict
-mapping column index to a nonzero coefficient in [1, p); the zero vector is
-the empty dict.  A row holds one entry per generator term landing in the
-box, out of #gens * |box| columns, so a sparse row costs what it holds.
-When every generator is one monomial, distinct cells never share a column,
-so the non-empty rows are independent (the rank route counts them as
-q^n - length(S/(m^[q] + b_e)) instead of building them).  Echelon keeps each
-pivot row as it reduced, not made monic.  Its columns below 0 are label
-columns, never a lead: the colon tags each candidate row with one, so a row
-that depends on earlier ones reduces to the labels of its dependency.
+one cell, which the colon (m^[q] : b_e) asks for as it walks candidates in
+term order.  A vector is a dict mapping column index to a nonzero
+coefficient in [1, p); the zero vector is the empty dict.  A row holds one
+entry per generator term landing in the box, out of #gens * |box| columns,
+so a sparse row costs what it holds.  Echelon keeps each pivot row as it
+reduced, not made monic.  Its columns below 0 are label columns, never a
+lead: the colon tags each candidate row with one, so a row that depends on
+earlier ones reduces to the labels of its dependency.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import groupby, product
-from operator import itemgetter, lt, mul, sub
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from operator import lt, mul
+from typing import Callable, Dict, List, Sequence, Tuple
 
 Row = Dict[int, int]
-BLOCK_LIFTS = 256  # blocks(): consecutive degrees merge into one block until it holds this many lifts
-Block = Iterator[Tuple[int, Row]]  # (cell index, row), in cell order
 IntPoint = Tuple[Tuple[int, ...], int]  # (numerators, denominator)
 
 
@@ -84,27 +70,8 @@ def _reduced(nums: Sequence[int], den: int) -> IntPoint:
     return tuple(x // g for x in nums), den // g
 
 
-def torus_grading(groups: Iterable[Sequence[Tuple[int, ...]]], n: int) -> List[Tuple[int, ...]]:
-    """Integer rows W spanning the vectors orthogonal to every difference of two exponents of one group.
-
-    Every group (one generator's exponents) then has a single W-degree.  The
-    differences are eliminated once (_bareiss): with pivot columns P, reduced
-    rows R and last pivot den, each free column f gives the primitive row that
-    is den at f and -R[i][f] at P[i], positive at f.  No difference leaves the
-    unit rows; differences of rank n leave [], a single degree.
-    """
-    P, R, den = _bareiss([tuple(map(sub, m, ms[0])) for ms in groups for m in ms[1:]])
-    W = []
-    for f in (k for k in range(n) if k not in P):
-        x, d = _reduced([-row[f] for row in R], den)
-        W.append(tuple(d if k == f else x[P.index(k)] if k in P else 0 for k in range(n)))
-    return W
-
-
-def box_rows(
-    box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]
-) -> Tuple[Callable[[Tuple[int, ...]], Row], Callable[[Iterable[int], int], Iterator[Block]]]:
-    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j, and blocks(parents, s) of them.
+def box_rows(box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]) -> Callable[[Tuple[int, ...]], Row]:
+    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j.
 
     polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
     has column j*|box| + the mixed-radix index of t (first variable most
@@ -113,19 +80,8 @@ def box_rows(
     terms are split greedily, once, into chains along which every coordinate
     is monotone; the terms of a chain that reach a cell are then a slice of
     it, each falling coordinate bounding it below and every other one above,
-    read off a table by the coordinate's value.  Every row, row(g) and the
-    rows of blocks, is built from these slices; row(g) is {} off the box.
-
-    blocks(parents, s) walks the lifts g = s*d + r, r in [0, s)^n, of the
-    parent cells d, given as cell indices of the box with sides box_i / s;
-    the parents [0] of the all-1 box give the whole box.  It yields one
-    block at a time, as its non-empty rows (cell index, row(g)) in cell
-    order, built as they are read.  The degree of g is w*g, w the first row
-    of W = torus_grading of the in-box terms (0 if there is none), so the
-    cells of one degree are a union of W-blocks.  A parent of degree K lifts
-    into the degrees s*K + w*r, so the parents are grouped by degree, and
-    the degrees are walked in order, consecutive ones merged into one block
-    until it holds BLOCK_LIFTS lifts.  box has at least one side.
+    read off a table by the coordinate's value; row(g) is {} off the box.
+    box has at least one side.
     """
     strides, size = [], 1
     for b in reversed(box):
@@ -155,8 +111,11 @@ def box_rows(
             falls = [(strides[i], box[i], [len(chain) - k for k in cuts[i]]) for i in range(n) if sign[i] < 0]
             runs.append((chain, falls, [(strides[i], box[i], cuts[i]) for i in range(n) if sign[i] >= 0]))
 
-    def row_at(g: int) -> Row:
+    def row(cell: Tuple[int, ...]) -> Row:
         vec: Row = {}
+        if not all(map(lt, cell, box)):
+            return vec
+        g = sum(map(mul, cell, strides))
         for chain, falls, rises in runs:
             lo, hi = 0, len(chain)
             for t, b, cut in falls:
@@ -171,49 +130,7 @@ def box_rows(
                 vec[g + o] = c
         return vec
 
-    def row(g: Tuple[int, ...]) -> Row:
-        return row_at(sum(map(mul, g, strides))) if all(map(lt, g, box)) else {}
-
-    def blocks(parents: Iterable[int], s: int) -> Iterator[Block]:
-        W = torus_grading([[m for m, _, _ in inbox] for inbox in gens], n)
-        w = W[0] if W else [0] * n
-
-        def run(cells: List[int]) -> Block:  # the non-empty rows of cells, in their order
-            return filter(itemgetter(1), zip(cells, map(row_at, cells)))
-
-        # the parents, each as the index of s*d, grouped by the degree of
-        # s*d; a parent whose lift s*d lies past every term's reach in some
-        # coordinate (so every lift does) is skipped
-        pstrides = [t // s ** (n - 1 - i) for i, t in enumerate(strides)]
-        low = [min((m[i] for inbox in gens for m, _, _ in inbox), default=b) for i, b in enumerate(box)]
-        limit = [-((u - b) // s) for u, b in zip(low, box)]  # ceil((box_i - low_i) / s)
-        order = []
-        for d in parents:
-            dv = []
-            for t in pstrides[:-1]:
-                u, d = divmod(d, t)
-                dv.append(u)
-            dv.append(d)
-            if all(map(lt, dv, limit)):
-                order.append((s * sum(map(mul, dv, w)), s * sum(map(mul, dv, strides))))
-        order.sort()
-        groups = [(key, [first for _, first in group]) for key, group in groupby(order, itemgetter(0))]
-        del order
-        shifts: Dict[int, List[int]] = {}
-        for r in product(range(s), repeat=n):
-            shifts.setdefault(sum(map(mul, r, w)), []).append(sum(map(mul, r, strides)))
-        cells: List[int] = []
-        last = None
-        for degree, j, k in sorted((key + k, j, k) for j, (key, _) in enumerate(groups) for k in shifts):
-            if degree != last and len(cells) >= BLOCK_LIFTS:
-                yield run(sorted(cells))
-                cells = []
-            last = degree
-            for off in shifts[k]:
-                cells += map(off.__add__, groups[j][1])
-        yield run(sorted(cells))
-
-    return row, blocks
+    return row
 
 
 class Echelon:

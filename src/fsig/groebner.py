@@ -6,7 +6,7 @@ import heapq
 import itertools
 import math
 from operator import add, le, neg, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
     Exponents,
@@ -74,15 +74,9 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]]) -> Polynomial:
     """Full remainder of f by the monic reducers `lead`, as (leading monomial, g) pairs.
 
-    Terms leave a heap of negated order keys largest first (one cancelled
-    since it was queued is skipped), so the remainder's first term is its lead.
+    Terms leave _term_heap largest first, so the remainder's first term is its lead.
     """
-    ring = f.ring
-    p = ring.p
-    key = ring.order.key
-    work = dict(f.terms)
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
-    heapq.heapify(heap)
+    work, heap, subtract = _term_heap(f)
     out: Dict[Exponents, int] = {}
     while heap:
         m = heapq.heappop(heap)[1]
@@ -91,21 +85,41 @@ def _reduce(f: Polynomial, lead: Sequence[Tuple[Exponents, Polynomial]]) -> Poly
             continue
         for lm, g in lead:
             if all(map(le, lm, m)):
-                shift = tuple(map(sub, m, lm))
-                for gm, gc in g.terms.items():
-                    t = tuple(map(add, gm, shift))
-                    v = (work.get(t, 0) - c * gc) % p
-                    if v:
-                        if t not in work:
-                            heapq.heappush(heap, (tuple(map(neg, key(t))), t))
-                        work[t] = v
-                    else:
-                        work.pop(t, None)
+                subtract(g, tuple(map(sub, m, lm)), c)
                 break
         else:
             out[m] = c
             del work[m]
-    return Polynomial(ring, out, reduce=False)
+    return Polynomial(f.ring, out, reduce=False)
+
+
+def _term_heap(f: Polynomial) -> Tuple[Dict[Exponents, int], List[Tuple[Tuple[int, ...], Exponents]], Callable]:
+    """(work, heap, subtract) for a division of f that takes terms off largest first.
+
+    work is f's terms as a dict; heap holds (negated order key, monomial) for
+    them, so heappop gives the largest.  subtract(g, shift, c) takes
+    c*x^shift*g off work and pushes each term it brings in.  A term cancelled
+    since it was pushed is no longer in work, and its pop is skipped.
+    """
+    ring = f.ring
+    p = ring.p
+    key = ring.order.key
+    work = dict(f.terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapq.heapify(heap)
+
+    def subtract(g: Polynomial, shift: Exponents, c: int):
+        for gm, gc in g.terms.items():
+            t = tuple(map(add, gm, shift))
+            v = (work.get(t, 0) - c * gc) % p
+            if v:
+                if t not in work:
+                    heapq.heappush(heap, (tuple(map(neg, key(t))), t))
+                work[t] = v
+            else:
+                work.pop(t, None)
+
+    return work, heap, subtract
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

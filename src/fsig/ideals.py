@@ -7,7 +7,7 @@ exact for a unit operand (no Buchberger run is spent ruling one out):
   it combinatorial: lcm intersections, monomial bases, monomial divisions
 * principal by principal     -> one exact division when the divisor divides
 * box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
-  standard monomials, on the rank route's rows (_linalg.box_rows), yielding
+  standard monomials, on the box rows of _linalg.box_rows, yielding
   the reduced Groebner basis directly; covers m^[q] and the unit ideal
 * anything else              -> _colon_elimination, the chain
   B_j = (1/f_j)(I cap f_j*B_{j-1}) from B_0 = S over the generators f_j of J,
@@ -28,6 +28,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     _reduce_basis,
+    _term_heap,
     eliminate,
     minimal_monomials,
     pure_power_box,
@@ -39,7 +40,6 @@ from .poly import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 
@@ -151,35 +151,28 @@ def tangent_cone(I: Ideal) -> Ideal:
 # -- exact division -----------------------------------------------------
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly; a remainder is an internal failure."""
+    """f / g when g divides f exactly; a remainder is an internal failure.
+
+    Terms leave _term_heap largest first; each is cancelled by a multiple of
+    g, whose lead must divide it.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
     lm_g, lc_g = g.leading_term()
-    inv = ring.field.inv(lc_g)
-    work = dict(f.terms)
+    inv = f.ring.field.inv(lc_g)
+    work, heap, subtract = _term_heap(f)
     quo: Dict[Exponents, int] = {}
-    p = ring.p
-    key = ring.order.key
-    keys = {m: key(m) for m in work}  # each term's order key, built once
-    while work:
-        m = max(work, key=keys.__getitem__)
-        c = work[m]
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         if not monomial_divides(lm_g, m):
             raise ExactDivisionError(f"{g} does not divide {f}")
         shift = monomial_div(m, lm_g)
-        factor = c * inv % p
-        quo[shift] = factor
-        for gm, gc in g.terms.items():
-            tmono = monomial_mul(gm, shift)
-            v = (work.get(tmono, 0) - factor * gc) % p
-            if v:
-                if tmono not in keys:
-                    keys[tmono] = key(tmono)
-                work[tmono] = v
-            else:
-                work.pop(tmono, None)
-    return Polynomial(ring, quo, reduce=False)
+        quo[shift] = c * inv % f.ring.p
+        subtract(g, shift, quo[shift])
+    return Polynomial(f.ring, quo, reduce=False)
 
 
 # -- colon --------------------------------------------------------------
@@ -247,7 +240,7 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     ring = I.ring
     order = ring.order
     n = ring.nvars
-    row, _ = _linalg.box_rows(box, [f.terms for f in J.generators])
+    row = _linalg.box_rows(box, [f.terms for f in J.generators])
 
     ech = _linalg.Echelon(ring.p)
     heap: List[Tuple[object, Exponents]] = [(order.key((0,) * n), (0,) * n)]

@@ -1,58 +1,37 @@
 """Splitting ideals and numbers, signature sequences, purity, primes, ratios.
 
-Level counts a_e are computed by two routes that must agree: the basis route
-(length of the quotient by the splitting ideal, via standard monomials) and
-the rank route (rank over F_p of the stacked multiplication-by-generators map
-on the box basis below p^e).  The rank route is the performance path; the
-basis route is the semantic reference.  Both read the rows of the one
-builder _linalg.box_rows and eliminate with _linalg.Echelon.  The colon
-walks cells in term order, tags each row(g) with a label column and reads
-each reduced-basis element off the labels of a dependent row; the rank
-route counts the pivots of its blocks.  It descends level by level, on one
-walk: the cells whose rows became pivots at level e - 1 are a monomial
-basis D_{e-1} of S/I_{e-1}, and when b_e lies in b_{e-1}^[p] (certified by
-normal forms, for any b_e and b_{e-1}) the rows of their lifts
-p*d + r, r in [0, p)^n, span the whole row space of level e, so it
-eliminates only those.  Every other level lifts every cell of the box of
-level e - 1 by p, the whole box: b_0 = S and I_0 = m, so b_e lies in
-b_0^[q] = S always, and S is free over S^q on the x^r, r in [0, q)^n.
-When every generator of b_e is homogeneous for a torus grading W, the
-matrix is block diagonal in W*g (see _linalg), so the walk eliminates one
-block at a time, in cell order, in an Echelon of its own that is dropped
-once passed: the pivots held are one block's, not the rank's, and D_e is
-the pivot set of one echelon over the same cells in cell order.  When
-every generator of b_e is a monomial, no two cells share a column, so the
-rank is the number of cells g with some g + m_j in the box, and
-g -> q - 1 - g maps them onto the box's multiples of some m_j: a_e is
-q^n - length(S/(m^[q] + b_e)), the Matlis duality of the Gorenstein ring
-S/m^[q] read off a monomial b_e.  quotient_length counts that length on
-the one staircase (groebner.staircase_count) and builds no row.  So
-method="both" checks the walks and the read-outs (reduced basis from label
-columns and staircase count of the colon (m^[q] : b_e) vs pivot count or
-staircase count of the sum m^[q] + b_e), but not the shared row builder or
-the shared echelon.  Those are checked in tests only, against the
-brute-force oracles of tests/_oracles.py (box rows, dense elimination,
-Macaulay membership, brute-force standard-monomial and union-of-boxes
-counts).  Each system memoizes its I_e, which the basis route and the
-prime candidate both read, and the rank route's newest D_e, which the
-basis route never reads.
+Level counts a_e are computed by two routes that must agree.  The basis
+route forms the splitting ideal I_e = (m^[q] : b_e), q = p^e, and counts
+the standard monomials of S/I_e.  The rank route counts the rank over F_p of
+the paper's map g -> g*b_e mod m^[q] without building it: A = S/m^[q] is
+artinian and Gorenstein, I_e/m^[q] = (0 :_A b_e), and Matlis duality gives
+length(A/(0 :_A b_e)) = length(b_e*A), so a_e = q^n - length(S/(m^[q] +
+b_e)) for every b_e, monomial or not.  That length is one Buchberger run
+and one staircase count, made in a copy of the ring whose variable order
+suits the count (_counting_ring); a_e does not depend on the order, and no
+printed basis comes from the copy.  So method="both" checks two independent
+constructions, the colon's reduced basis (read off linear algebra on the box
+rows for m^[q] : b_e) against Buchberger on the sum m^[q] + b_e, which share
+only groebner.staircase_count.  The shared pieces are checked in tests
+against the brute-force oracles of tests/_oracles.py, which also keep the
+walk of the q^n box that the rank route once made.  Each system memoizes its
+I_e, which the basis route and the prime candidate both read.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import _linalg
-from .groebner import GroebnerBasis, Ideal, krull_dimension, normal_form, quotient_length
+from .groebner import Ideal, krull_dimension, normal_form, quotient_length
 from .ideals import bracket_power, colon, ideal_sum, tangent_cone
 from .poly import (
     FrozenRecord,
     InfeasibleError,
     InternalInvariantError,
     PolyRing,
+    Polynomial,
     Record,
     ResourceLimitError,
 )
@@ -96,68 +75,31 @@ def _splitting_number_basis(sys: FGradedSystem, e: int) -> int:
     return int(length)
 
 
-def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
-    """Rank over F_p of g -> (g*f_j mod <x_i^q>) on the box basis of exponents < q."""
+def _counting_ring(sys: FGradedSystem) -> Tuple[PolyRing, Callable[[Polynomial], Polynomial]]:
+    """The ring the rank route counts in, and the map of sys.ring into it.
+
+    It has sys.ring's variables under degrevlex, reordered: those that occur
+    as a pure power in a term of b_1's generators come first, by the smallest
+    such exponent, and ties and the rest keep the ring's order.  A
+    polynomial is mapped across by permuting its exponents.
+    """
     ring = sys.ring
-    b = sys.b_of(e)
-    if b.is_monomial():
-        # no two cells share a column, so the rank counts the cells g with some
-        # g + m_j in the box; g -> q - 1 - g maps them onto the box's multiples
-        # of some m_j, the cells outside the staircase of m^[q] + b_e
-        return ring.p ** (e * ring.nvars) - quotient_length(ideal_sum(maximal_bracket(ring, e), b))
-    return len(_pivot_cells(sys, e))
+    terms = [m for g in sys.b_of(1).generators for m in g.terms]
+    low = [min((m[i] for m in terms if 0 < m[i] == sum(m)), default=math.inf) for i in range(ring.nvars)]
+    perm = sorted(range(ring.nvars), key=low.__getitem__)
+    R = PolyRing(ring.field, tuple(ring.variables[i] for i in perm))
+
+    def into(f: Polynomial) -> Polynomial:
+        return Polynomial(R, {tuple(m[i] for i in perm): c for m, c in f.terms.items()}, reduce=False)
+
+    return R, into
 
 
-def _descends(sys: FGradedSystem, e: int) -> bool:
-    """Whether b_e lies in b_{e-1}^[p]: each generator of b_e has normal form 0 modulo it.
-
-    Then I_{e-1}^[p] lies in I_e: g*b_{e-1} in m^[q/p] gives g^p*b_e in
-    m^[q].  The p-th powers of b_{e-1}'s reduced basis are a reduced basis
-    of b_{e-1}^[p] (S(g^p, h^p) = S(g, h)^p), so no Buchberger run is made on
-    it.  A resource cap on b_{e-1}'s basis leaves the level uncertified.
-    Level 1 never descends: its box is already the lift of D_0 = {0} by p.
-    """
-    if e < 2:
-        return False
-    before = sys.b_of(e - 1)
-    try:
-        basis = before.groebner_basis()
-    except ResourceLimitError:
-        return False
-    bracket = GroebnerBasis(sys.ring, [g.frobenius(1) for g in basis])
-    return all(normal_form(g, bracket).is_zero() for g in sys.b_of(e).generators)
-
-
-def _pivot_cells(sys: FGradedSystem, e: int) -> array:
-    """D_e, the cells whose rows became pivots on the rank route at level e, memoized.
-
-    Rows are independent exactly when their monomials are independent modulo
-    I_e, so D_e is a monomial basis of S/I_e and a_e = |D_e|.  When
-    _descends(sys, e), b_e principal or not, S/I_e is spanned by the lifts
-    p*d + r, r in [0, p)^n, of D_{e-1} (S is free over S^p on the x^r), and
-    level e eliminates only their rows; otherwise it lifts every cell of the
-    box [0, q/p)^n by p, which is the whole box (b_e lies in b_0^[q] = S),
-    one torus block at a time.  The cells are indices of the box [0, q)^n,
-    re-sorted into cell order, 4 bytes each while they fit.  Only level
-    e + 1 reads D_e, so the memo drops D_{e-1} once D_e is built.
-    """
-    got = sys.pivot_cells.get(e)
-    if got is None:
-        ring, p = sys.ring, sys.ring.p
-        q = p**e
-        parents = _pivot_cells(sys, e - 1) if _descends(sys, e) else range((q // p) ** ring.nvars)
-        polys = [f.terms for f in sys.b_of(e).generators]
-        _, blocks = _linalg.box_rows([q] * ring.nvars, polys)
-        got = array("I" if q**ring.nvars <= 2**32 else "Q")
-        for block in blocks(parents, p):
-            ech = _linalg.Echelon(p)
-            for cell, vec in block:
-                if ech.insert(vec):
-                    got.append(cell)
-        got = array(got.typecode, sorted(got))
-        sys.pivot_cells.pop(e - 1, None)
-        sys.pivot_cells[e] = got
-    return got
+def _splitting_number_rank(sys: FGradedSystem, e: int) -> int:
+    """Rank over F_p of g -> g*b_e mod m^[q]: q^n - length(S/(m^[q] + b_e)), by Matlis duality."""
+    R, into = _counting_ring(sys)
+    b = Ideal(R, map(into, sys.b_of(e).generators))
+    return R.p ** (e * R.nvars) - quotient_length(ideal_sum(maximal_bracket(R, e), b))
 
 
 def splitting_number(sys: FGradedSystem, e: int, method: str = "both") -> int:

@@ -10,7 +10,6 @@ them.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -34,7 +33,6 @@ class FGradedSystem:
         self.ring = ring
         self._cache: Dict[int, Ideal] = {}
         self.splitting_ideals: Dict[int, Ideal] = {}  # I_e, memoized by fsig.signature
-        self.pivot_cells: Dict[int, array] = {}  # the rank route's D_e, by fsig.signature
 
     def b_of(self, e: int) -> Ideal:
         if e < 1:

@@ -7,9 +7,12 @@ on integer lists, areas through the shoelace formula, 3-D volumes through
 exact integration of slice areas, one-halfspace cube volumes through
 inclusion-exclusion over the cube's vertices, clip vertices through every
 choice of tight halfspaces and fixed coordinates, powers through repeated
-multiplication on plain dicts.  The one exception is colon_by_quotients, an
-older construction of (I : J) out of fsig's own intersection, kept to check
-the chained colon against.
+multiplication on plain dicts.  Two exceptions are older constructions built
+on fsig's own code: colon_by_quotients, a construction of (I : J) out of
+fsig's intersection, kept to check the chained colon against; and BoxWalk,
+the walk of the q^n box by which the rank route counted a_e before it
+counted q^n - length(S/(m^[q] + b_e)), with its torus blocks (box_blocks,
+torus_grading) and its descent certificate, kept for the tests that pin it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from array import array
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter, lt, mul, sub
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 
 def dense_echelon_modp(rows: List[List[int]], p: int) -> List[Tuple[int, List[int]]]:
@@ -555,3 +561,145 @@ def colon_by_quotients(I, J):
         Q = Ideal(ring, [exact_divide(g, f) for g in K.groebner_basis()])
         result = Q if result is None else intersection(result, Q)
     return result
+
+
+# -- the rank route's former walk of the q^n box ---------------------------
+
+BLOCK_LIFTS = 256  # box_blocks: consecutive degrees merge into one block until it holds this many lifts
+
+
+def torus_grading(groups: Iterable[Sequence[Tuple[int, ...]]], n: int) -> List[Tuple[int, ...]]:
+    """Integer rows W spanning the vectors orthogonal to every difference of two exponents of one group.
+
+    Every group (one generator's exponents) then has a single W-degree.  The
+    differences are eliminated once (fsig's _bareiss): with pivot columns P,
+    reduced rows R and last pivot den, each free column f gives the primitive
+    row that is den at f and -R[i][f] at P[i], positive at f.  No difference
+    leaves the unit rows; differences of rank n leave [], a single degree.
+    """
+    from fsig._linalg import _bareiss, _reduced
+
+    P, R, den = _bareiss([tuple(map(sub, m, ms[0])) for ms in groups for m in ms[1:]])
+    W = []
+    for f in (k for k in range(n) if k not in P):
+        x, d = _reduced([-row[f] for row in R], den)
+        W.append(tuple(d if k == f else x[P.index(k)] if k in P else 0 for k in range(n)))
+    return W
+
+
+def box_blocks(
+    box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]], parents: Iterable[int], s: int
+) -> Iterator[Iterator[Tuple[int, Dict[int, int]]]]:
+    """The rows of the lifts g = s*d + r, r in [0, s)^n, of the parent cells d, one block at a time.
+
+    The parents are cell indices of the box with sides box_i / s (first
+    variable most significant); the parents [0] of the all-1 box give the
+    whole box.  Each block is its non-empty rows (cell index, row(g)) of
+    fsig's box_rows, in cell order, built as they are read.  The degree of
+    g is w*g, w the first row of W = torus_grading of the in-box terms (0
+    if there is none), so the cells of one degree are a union of W-blocks:
+    the matrix is block diagonal in W*g, and no two blocks share a column.
+    A parent of degree K lifts into the degrees s*K + w*r, so the parents
+    are grouped by degree, and the degrees are walked in order, consecutive
+    ones merged into one block until it holds BLOCK_LIFTS lifts.  A parent
+    whose lift s*d lies past every term's reach in some coordinate (so every
+    lift does) is skipped.
+    """
+    from fsig._linalg import box_rows
+
+    row = box_rows(box, polys)
+    n = len(box)
+    strides = [math.prod(box[i + 1:]) for i in range(n)]
+    inbox = [[m for m in f if all(map(lt, m, box))] for f in polys]
+    W = torus_grading(inbox, n)
+    w = W[0] if W else [0] * n
+
+    def run(cells: List[int]) -> Iterator[Tuple[int, Dict[int, int]]]:
+        for k in cells:
+            vec = row(tuple(k // t % b for t, b in zip(strides, box)))
+            if vec:
+                yield k, vec
+
+    pstrides = [t // s ** (n - 1 - i) for i, t in enumerate(strides)]
+    low = [min((m[i] for f in inbox for m in f), default=b) for i, b in enumerate(box)]
+    limit = [-((u - b) // s) for u, b in zip(low, box)]  # ceil((box_i - low_i) / s)
+    order = []
+    for d in parents:
+        dv = [d // t % (b // s) for t, b in zip(pstrides, box)]
+        if all(map(lt, dv, limit)):
+            order.append((s * sum(map(mul, dv, w)), s * sum(map(mul, dv, strides))))
+    order.sort()
+    groups = [(key, [first for _, first in group]) for key, group in groupby(order, itemgetter(0))]
+    shifts: Dict[int, List[int]] = {}
+    for r in itertools.product(range(s), repeat=n):
+        shifts.setdefault(sum(map(mul, r, w)), []).append(sum(map(mul, r, strides)))
+    cells: List[int] = []
+    last = None
+    for degree, j, k in sorted((key + k, j, k) for j, (key, _) in enumerate(groups) for k in shifts):
+        if degree != last and len(cells) >= BLOCK_LIFTS:
+            yield run(sorted(cells))
+            cells = []
+        last = degree
+        for off in shifts[k]:
+            cells += map(off.__add__, groups[j][1])
+    yield run(sorted(cells))
+
+
+class BoxWalk:
+    """The rank route's walk of the q^n box, level by level, for one system.
+
+    cells(e) is D_e, the cells whose rows became pivots at level e.  Rows are
+    independent exactly when their monomials are independent modulo I_e, so
+    D_e is a monomial basis of S/I_e and a_e = |D_e|.  When descends(e), S/I_e
+    is spanned by the lifts p*d + r, r in [0, p)^n, of D_{e-1} (S is free over
+    S^p on the x^r), and level e eliminates only their rows; otherwise it
+    lifts every cell of the box [0, q/p)^n by p, which is the whole box (b_e
+    lies in b_0^[q] = S).  Each block of box_blocks is eliminated in an
+    Echelon of its own.  The cells are indices of the box [0, q)^n in cell
+    order; pivot_cells keeps only the newest level's.
+    """
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.pivot_cells: Dict[int, array] = {}
+
+    def descends(self, e: int) -> bool:
+        """Whether b_e lies in b_{e-1}^[p]: each generator of b_e has normal form 0 modulo it.
+
+        Then I_{e-1}^[p] lies in I_e.  The p-th powers of b_{e-1}'s reduced
+        basis are a reduced basis of b_{e-1}^[p], so no Buchberger run is made
+        on it.  A resource cap on b_{e-1}'s basis leaves the level
+        uncertified.  Level 1 never descends: its box is already the lift of
+        D_0 = {0} by p.
+        """
+        from fsig.groebner import GroebnerBasis, normal_form
+        from fsig.poly import ResourceLimitError
+
+        if e < 2:
+            return False
+        try:
+            basis = self.sys.b_of(e - 1).groebner_basis()
+        except ResourceLimitError:
+            return False
+        bracket = GroebnerBasis(self.sys.ring, [g.frobenius(1) for g in basis])
+        return all(normal_form(g, bracket).is_zero() for g in self.sys.b_of(e).generators)
+
+    def cells(self, e: int) -> array:
+        from fsig._linalg import Echelon
+
+        got = self.pivot_cells.get(e)
+        if got is None:
+            ring, p = self.sys.ring, self.sys.ring.p
+            q = p**e
+            parents = self.cells(e - 1) if self.descends(e) else range((q // p) ** ring.nvars)
+            polys = [f.terms for f in self.sys.b_of(e).generators]
+            got = array("I" if q**ring.nvars <= 2**32 else "Q")
+            for block in box_blocks([q] * ring.nvars, polys, parents, p):
+                ech = Echelon(p)
+                for cell, vec in block:
+                    if ech.insert(vec):
+                        got.append(cell)
+            got = array(got.typecode, sorted(got))
+            self.pivot_cells.pop(e - 1, None)
+            self.pivot_cells[e] = got
+        return got

@@ -382,6 +382,25 @@ def test_main_exits_3_when_a_level_runs_out_of_memory(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == "fsig: out of memory\n"
 
 
+def test_rank_route_under_a_basis_cap_ends_partial(tmp_path, capsys, monkeypatch):
+    # the rank route is one Buchberger run on m^[q] + b_e, whose reduced basis
+    # has 4, 9 and 24 elements at e = 1, 2, 3 for the cusp pair at p = 5: a
+    # basis cap of 10 stops it at e = 3, in the partial report with exit 3
+    from fsig import groebner
+
+    path = tmp_path / "cusp5.fsig"
+    path.write_text("p = 5\nvars = a, b\nsystem = pair { a = [ a^3 - b^2 ], t = 1/2 }\nmode = signature\nemax = 3\n")
+    assert main([str(path), "--method", "linear", "--json"]) == 0
+    assert [row["a_e"] for row in json.loads(capsys.readouterr().out)["rows"]] == [7, 117, 2667]
+    monkeypatch.setattr(groebner.buchberger, "__defaults__", (groebner.DEFAULT_MAX_PAIRS, 10))
+    assert main([str(path), "--method", "linear", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["partial"] is True
+    assert [row["a_e"] for row in doc["rows"]] == [7, 117]
+    assert main([str(path), "--method", "linear"]) == 3
+    assert "resource cap at e=3: basis cap 10 exceeded; largest completed e=2" in capsys.readouterr().out
+
+
 def test_fpure_mode_message(tmp_path, capsys):
     path = tmp_path / "w2.fsig"
     path.write_text(

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import box_row, dense_rank_modp, fraction_rref
-from fsig import _linalg
-from fsig._linalg import Echelon, box_rows, torus_grading
+import _oracles
+from _oracles import box_blocks, box_row, dense_rank_modp, fraction_rref, torus_grading
+from fsig._linalg import Echelon, box_rows
 
 
 def vector_from_items(p, items):
@@ -119,7 +119,7 @@ def test_box_rows_match_brute_force_randomized():
     rng = random.Random(4242)
     for _ in range(200):
         box, polys = _random_box_problem(rng)
-        row, _ = box_rows(box, polys)
+        row = box_rows(box, polys)
         # every cell of the box and every cell up to one step outside it
         for g in itertools.product(*(range(b + 2) for b in box)):
             expected = box_row(box, polys, g)
@@ -177,10 +177,9 @@ def test_box_slabs_match_rows_randomized(monkeypatch):
             for k in chosen
             for r in itertools.product(range(s), repeat=n)
         )
-        _, blocks = box_rows(box, polys)
-        _check_blocks(box, polys, [list(block) for block in blocks(chosen, s)], walked, False)
-        monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
-        got = [list(block) for block in blocks(chosen, s)]
+        _check_blocks(box, polys, [list(block) for block in box_blocks(box, polys, chosen, s)], walked, False)
+        monkeypatch.setattr(_oracles, "BLOCK_LIFTS", 1)
+        got = [list(block) for block in box_blocks(box, polys, chosen, s)]
         monkeypatch.undo()
         _check_blocks(box, polys, got, walked, True)
         shapes[min(sum(1 for block in got if block), 2)] += 1
@@ -250,8 +249,7 @@ def test_ungraded_generator_walks_one_block():
     # grading; the whole box is then a single block in cell order
     poly = {(2, 0): 1, (0, 3): 1, (1, 1): 2}
     assert torus_grading([list(poly)], 2) == []
-    _, blocks = box_rows([9, 9], [poly])
-    got = [list(block) for block in blocks(range(9), 3)]
+    got = [list(block) for block in box_blocks([9, 9], [poly], range(9), 3)]
     assert len(got) == 1
     rows = [box_row([9, 9], [poly], g) for g in itertools.product(range(9), repeat=2)]
     assert got[0] == [(k, row) for k, row in enumerate(rows) if row]
@@ -259,6 +257,5 @@ def test_ungraded_generator_walks_one_block():
     # (weights orthogonal to (3, -2)), merged until a block holds
     # BLOCK_LIFTS lifts
     assert torus_grading([[(3, 0), (0, 2)]], 2) == [(2, 3)]
-    _, blocks = box_rows([81, 81], [{(3, 0): 1, (0, 2): 2}])
-    sizes = [len(list(b)) for b in blocks(range(27 * 27), 3)]
-    assert len(sizes) > 1 and all(k >= _linalg.BLOCK_LIFTS for k in sizes[:-1])
+    sizes = [len(list(b)) for b in box_blocks([81, 81], [{(3, 0): 1, (0, 2): 2}], range(27 * 27), 3)]
+    assert len(sizes) > 1 and all(k >= _oracles.BLOCK_LIFTS for k in sizes[:-1])

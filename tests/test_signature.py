@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import box_multiplication_rank, union_of_boxes_count
-from fsig import _linalg, groebner
-from fsig._linalg import Echelon, box_rows, torus_grading
+import _oracles
+from _oracles import BoxWalk, box_blocks, box_multiplication_rank, torus_grading, union_of_boxes_count
+from fsig import groebner
+from fsig._linalg import Echelon, box_rows
 from fsig.groebner import Ideal, ideal_membership, quotient_length
 from fsig.ideals import bracket_power, colon, ideal_equals, ideal_sum
 from fsig.poly import PolyRing, Polynomial, ResourceLimitError
@@ -16,7 +17,6 @@ from fsig.signature import (
     InfeasibleError,
     Row,
     SplittingReport,
-    _descends,
     _splitting_number_rank,
     compatibility_check,
     is_f_pure,
@@ -465,20 +465,22 @@ def test_descent_certificate_truth_table_on_cusp_pairs(p, t):
     # b_e = (f^N(e)) with N(e) = ceil(t*(p^e - 1)): b_{e+1} lies in
     # b_e^[p] = (f^(p*N(e))) exactly when N(e+1) >= p*N(e)
     sys_ = _cusp(p, t)
+    walk = BoxWalk(sys_)
     N = [sys_.exponent(e) for e in range(1, 5)]
-    got = [_descends(sys_, e + 1) for e in range(1, 4)]
+    got = [walk.descends(e + 1) for e in range(1, 4)]
     assert got == [N[e] >= p * N[e - 1] for e in range(1, 4)]
     if (p, t) == (3, Fraction(1, 5)):
         assert N[:3] == [1, 2, 6] and got[:2] == [False, True]
-    assert not _descends(sys_, 1)  # level 1 has no parent level
+    assert not walk.descends(1)  # level 1 has no parent level
 
 
 def test_descent_without_its_certificate_gives_a_wrong_count(monkeypatch):
     # cusp t = 1/5, p = 3: N = 1, 2, so b_2 is not inside b_1^[3] and the
     # lifts of D_1 do not span S/I_2; skipping the check must show
     with monkeypatch.context() as m:
-        m.setattr(signature, "_descends", lambda sys_, e: e > 1)
-        assert splitting_number(_cusp(3, Fraction(1, 5)), 2, method="linear") == 27
+        m.setattr(BoxWalk, "descends", lambda walk, e: e > 1)
+        assert len(BoxWalk(_cusp(3, Fraction(1, 5))).cells(2)) == 27
+    assert len(BoxWalk(_cusp(3, Fraction(1, 5))).cells(2)) == 45
     assert splitting_number(_cusp(3, Fraction(1, 5)), 2, method="linear") == 45
 
 
@@ -499,18 +501,19 @@ def test_descent_certificate_gives_the_frobenius_facts(system, uncertified):
     # where b_{e+1} lies in b_e^[p], I_e^[p] lies in I_{e+1} (basis route),
     # and S/I_{e+1} is spanned by the p^n lifts x^(p*d + r) of a basis of S/I_e
     sys_ = system()
+    walk = BoxWalk(sys_)
     p, n = sys_.ring.p, sys_.ring.nvars
     ideals = {e: splitting_ideal(sys_, e) for e in (1, 2, 3)}
     a = {e: splitting_number(sys_, e, method="groebner") for e in (1, 2, 3)}
     for e in (1, 2):
         contained = all(ideal_membership(g, ideals[e + 1]) for g in bracket_power(ideals[e], 1).generators)
-        if _descends(sys_, e + 1):
+        if walk.descends(e + 1):
             assert e not in uncertified
             assert contained, e
             assert a[e + 1] <= p**n * a[e], e
         else:
             assert e in uncertified
-    assert not any(_descends(sys_, e + 1) for e in uncertified)
+    assert not any(walk.descends(e + 1) for e in uncertified)
     if uncertified == (1,):
         # cusp t = 1/5, p = 3 at e = 1: N = 1, 2, the containment fails, and
         # the 27 lifts of a basis of S/I_1 cannot span S/I_2, of length 45
@@ -518,19 +521,19 @@ def test_descent_certificate_gives_the_frobenius_facts(system, uncertified):
         assert (p**n * a[1], a[2]) == (27, 45)
 
 
-def _check_blocked_level(sys_, e, parents, expected):
-    """Level e of the rank route, just computed from the parent cells of level
+def _check_blocked_level(walk, e, parents, expected):
+    """Level e of the walk, just computed from the parent cells of level
     e - 1 (None for the whole box): |D_e| = a_e; D_e is the pivot set of one
     echelon over the same lifts in cell order; W is orthogonal to every term
     difference within a generator of b_e; the per-block ranks of the whole
     box sum to the dense rank.  Returns whether the in-box terms have a
     grading and how many blocks have a pivot."""
-    R = sys_.ring
+    R = walk.sys.ring
     n, p, q = R.nvars, R.p, R.p**e
-    got = sys_.pivot_cells[e]
+    got = walk.pivot_cells[e]
     assert len(got) == expected
-    gens = [g.terms for g in sys_.b_of(e).generators]
-    row, blocks = box_rows([q] * n, gens)
+    gens = [g.terms for g in walk.sys.b_of(e).generators]
+    row = box_rows([q] * n, gens)
     cells = list(itertools.product(range(q), repeat=n))
     if parents is not None:
         pcells = list(itertools.product(range(q // p), repeat=n))
@@ -545,7 +548,7 @@ def _check_blocked_level(sys_, e, parents, expected):
     W = torus_grading([list(f) for f in gens], n)
     assert all(sum(a * (u - v) for a, u, v in zip(w, m, next(iter(f)))) == 0 for w in W for f in gens for m in f)
     ranks = []
-    for block in blocks(range((q // p) ** n), p):
+    for block in box_blocks([q] * n, gens, range((q // p) ** n), p):
         ech = Echelon(p)
         ranks.append(sum(ech.insert(vec) for _, vec in block))
     assert sum(ranks) == expected
@@ -555,10 +558,10 @@ def _check_blocked_level(sys_, e, parents, expected):
 
 def test_descended_rank_matches_dense_rank_randomized(monkeypatch):
     # random principal quotients (f^q : f) = (f^(q-1)) and pairs (f)^N(e):
-    # the rank route, descending wherever the certificate holds, against a
-    # dense rank over every cell of the box, and each level's blocks, one
-    # block per degree
-    monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
+    # the rank route, and the box walk descending wherever the certificate
+    # holds, against a dense rank over every cell of the box, and each
+    # level's blocks, one block per degree
+    monkeypatch.setattr(_oracles, "BLOCK_LIFTS", 1)
     rng = random.Random(7272)
     shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
     walks = [0, 0]  # levels above 1 lifting D_0 = {0} by q (the whole box), and by p
@@ -576,17 +579,19 @@ def test_descended_rank_matches_dense_rank_randomized(monkeypatch):
             sys_ = QuotientSystem(R, Ideal(R, [f]))
         else:
             sys_ = PairSystem(R, Ideal(R, [f]), Fraction(1, rng.randint(1, 6)))
+        walk = BoxWalk(sys_)
         for e in range(1, emax + 1):
             gens = [g.terms for g in sys_.b_of(e).generators]
             expected = box_multiplication_rank(gens, n, p, p**e)
-            parents = list(sys_.pivot_cells[e - 1]) if e > 1 and _descends(sys_, e) else None
+            parents = list(walk.cells(e - 1)) if e > 1 and walk.descends(e) else None
             assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
+            assert len(walk.cells(e)) == expected, (sys_, e)
             if len(gens) > 1 or len(gens[0]) > 1:
-                has_grading, nonempty = _check_blocked_level(sys_, e, parents, expected)
+                has_grading, nonempty = _check_blocked_level(walk, e, parents, expected)
                 graded[has_grading] += 1
                 assert has_grading or nonempty <= 1, (sys_, e)
             if e > 1:
-                walks[_descends(sys_, e)] += 1
+                walks[walk.descends(e)] += 1
     assert min(walks) >= 3, walks  # both the descent and, with no certificate, the whole box
     assert graded[1] >= 3, graded
 
@@ -607,7 +612,7 @@ def test_blocked_rank_matches_dense_rank_on_graded_systems_randomized(monkeypatc
     # dense rank, with the block checks above; in every other draw one term
     # of another degree may leave b_e with no grading (one block); one block
     # per degree
-    monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
+    monkeypatch.setattr(_oracles, "BLOCK_LIFTS", 1)
     rng = random.Random(7373)
     shapes = [(2, 2, 4), (2, 3, 2), (3, 2, 2), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
     kinds = ["quotient", "pair", "pair2", "product"]
@@ -630,13 +635,15 @@ def test_blocked_rank_matches_dense_rank_on_graded_systems_randomized(monkeypatc
             sys_ = PairSystem(R, Ideal(R, polys), t)
         else:
             sys_ = ProductSystem(R, [PairSystem(R, Ideal(R, [g]), t) for g in polys])
+        walk = BoxWalk(sys_)
         for e in range(1, emax + 1):
             gens = [g.terms for g in sys_.b_of(e).generators]
             expected = box_multiplication_rank(gens, n, p, p**e)
-            parents = list(sys_.pivot_cells[e - 1]) if e > 1 and _descends(sys_, e) else None
+            parents = list(walk.cells(e - 1)) if e > 1 and walk.descends(e) else None
             assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
+            assert len(walk.cells(e)) == expected, (sys_, e)
             if len(gens) > 1 or len(gens[0]) > 1:
-                has_grading, nonempty = _check_blocked_level(sys_, e, parents, expected)
+                has_grading, nonempty = _check_blocked_level(walk, e, parents, expected)
                 assert has_grading or nonempty <= 1, (sys_, e)
                 assert has_grading or draw % 2, (sys_, e)
                 graded[has_grading] += 1
@@ -652,7 +659,7 @@ def test_descent_certificate_on_non_principal_b_e_randomized(monkeypatch):
     # D_e the pivot set of one echelon over the lifts of D_{e-1}.  A quotient's
     # generators are homogeneous: a random ungraded J can take minutes to
     # build b_3 (Buchberger's caps bound pairs, not work)
-    monkeypatch.setattr(_linalg, "BLOCK_LIFTS", 1)
+    monkeypatch.setattr(_oracles, "BLOCK_LIFTS", 1)
     rng = random.Random(2525)
     shapes = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2), (5, 2, 2)]  # (p, n, emax)
     kinds = ["quotient", "pair2", "product"]
@@ -673,16 +680,18 @@ def test_descent_certificate_on_non_principal_b_e_randomized(monkeypatch):
             sys_ = PairSystem(R, Ideal(R, polys[:2]), t)
         else:
             sys_ = ProductSystem(R, [PairSystem(R, Ideal(R, polys[:2]), t), PairSystem(R, Ideal(R, polys[2:]), t)])
+        walk = BoxWalk(sys_)
         for e in range(2, emax + 1):
             now, before = sys_.b_of(e), sys_.b_of(e - 1)
-            got = _descends(sys_, e)
+            got = walk.descends(e)
             assert got == all(ideal_membership(g, bracket_power(before, 1)) for g in now.generators), (sys_, e)
-            if got and not now.is_monomial():  # a monomial b_e is counted on its staircase
-                parents = list(signature._pivot_cells(sys_, e - 1))
+            if got and not now.is_monomial():  # a monomial b_e was counted on its staircase
+                parents = list(walk.cells(e - 1))
                 gens = [g.terms for g in now.generators]
                 expected = box_multiplication_rank(gens, n, p, p**e)
                 assert splitting_number(sys_, e, method="linear") == expected, (sys_, e)
-                _check_blocked_level(sys_, e, parents, expected)
+                walk.cells(e)
+                _check_blocked_level(walk, e, parents, expected)
             if len(now.generators) > 1 or len(before.generators) > 1:
                 certified[got] += 1
     assert min(certified) >= 3, certified
@@ -690,7 +699,8 @@ def test_descent_certificate_on_non_principal_b_e_randomized(monkeypatch):
 
 def test_descent_certificate_under_a_buchberger_cap(monkeypatch):
     # b_1 = <x^2 + y*z, y^2 + x*z, z^2 + x*y>, b_2 = b_1^[3]: certified, until a
-    # cap trips while b_1's basis is built; the level then walks the whole box
+    # cap trips while b_1's basis is built; the level then walks the whole box,
+    # and the rank route's own Buchberger run trips it too
     R = PolyRing.make(3, ["x", "y", "z"])
     b1 = Ideal(R, [R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")])
 
@@ -698,20 +708,23 @@ def test_descent_certificate_under_a_buchberger_cap(monkeypatch):
         def _compute(self, e):
             return self.ideal if e == 1 else bracket_power(self.ideal, e - 1)
 
-    assert _descends(Bracketed(R, b1), 2)
+    assert BoxWalk(Bracketed(R, b1)).descends(2)
     sys_ = Bracketed(R, Ideal(R, b1.generators))
+    walk = BoxWalk(sys_)
     monkeypatch.setattr(groebner.buchberger, "__defaults__", (1, groebner.DEFAULT_MAX_BASIS))
     with pytest.raises(ResourceLimitError):
         sys_.b_of(1).groebner_basis()
-    assert not _descends(sys_, 2)
+    assert not walk.descends(2)
     gens = [g.terms for g in sys_.b_of(2).generators]
-    assert splitting_number(sys_, 2, method="linear") == box_multiplication_rank(gens, 3, 3, 9)
+    assert len(walk.cells(2)) == box_multiplication_rank(gens, 3, 3, 9)
+    with pytest.raises(ResourceLimitError):
+        splitting_number(sys_, 2, method="linear")
 
 
 def test_rank_route_memory_canary():
-    # the pivots held are one torus block's, not the rank's: levels 1..5 of
-    # the cusp pair at p = 3 (a_5 = 9963) stay under 2 MiB of traced
-    # allocations (0.65 MiB; one echelon over the whole walk held 6.7 MiB)
+    # levels 1..5 of the cusp pair at p = 3 (a_5 = 9963) stay under 2 MiB of
+    # traced allocations (the box walk held 0.65 MiB in one torus block's
+    # echelon at a time, and 6.7 MiB in one echelon over the whole walk)
     sys_ = _cusp(3)
     tracemalloc.start()
     try:
@@ -732,25 +745,45 @@ def test_rank_route_memory_canary():
     ids=["cusp-t1/5-p3", "cone-p3", "cusp-p5"],
 )
 def test_rank_route_at_one_level_matches_the_sequence(system, e):
-    # a direct call recurses through the levels below it on its own, and the
-    # memo keeps only the newest level's pivot cells
+    # a direct call needs no level below it; the box walk recurses through
+    # them on its own, and keeps only the newest level's pivot cells
     sys_ = system()
-    assert splitting_number(sys_, e, method="linear") == signature_sequence(system(), e).rows[-1].a_e
-    assert list(sys_.pivot_cells) == [e]
+    a_e = signature_sequence(system(), e).rows[-1].a_e
+    assert splitting_number(sys_, e, method="linear") == a_e
+    walk = BoxWalk(system())
+    assert len(walk.cells(e)) == a_e
+    assert list(walk.pivot_cells) == [e]
 
 
 def test_descent_frontier_canary():
-    # cone p = 3: a_e = (q^2 + 1)/2.  Level 5 walks 88,587 lifted cells
-    # against the 1.26M rows of its whole reach.
-    cone = _cone(3)
-    assert [splitting_number(cone, e, method="linear") for e in range(1, 6)] == [
-        (3 ** (2 * e) + 1) // 2 for e in range(1, 6)
-    ]
+    # cone p = 3: a_e = (q^2 + 1)/2, by the rank route and by the box walk.
+    # Level 5 walks 88,587 lifted cells against the 1.26M rows of its whole
+    # reach.
+    cone, walk = _cone(3), BoxWalk(_cone(3))
+    expected = [(3 ** (2 * e) + 1) // 2 for e in range(1, 6)]
+    assert [splitting_number(cone, e, method="linear") for e in range(1, 6)] == expected
+    assert [len(walk.cells(e)) for e in range(1, 6)] == expected
     # cusp t = 1/5, p = 3: the certificate fails at levels 2 and 4
     linear, basis = _cusp(3, Fraction(1, 5)), _cusp(3, Fraction(1, 5))
+    walk = BoxWalk(_cusp(3, Fraction(1, 5)))
     got = [splitting_number(linear, e, method="linear") for e in range(1, 5)]
     assert got == [3, 45, 405, 3969]
     assert got == [splitting_number(basis, e, method="groebner") for e in range(1, 5)]
+    assert got == [len(walk.cells(e)) for e in range(1, 5)]
+    assert [walk.descends(e) for e in range(2, 5)] == [False, True, False]
+
+
+def test_rank_route_counts_with_pure_powers_first():
+    # in the ring's order the cone's dual basis at p = 3 roughly triples per
+    # level and trips the basis cap at e = 6 (732 elements); with z, the
+    # variable of the pure power z^4 in b_1, first it has 5 elements at every
+    # level.  The ungraded pair's y (the term y of x^2 - y) goes before x.
+    cone = _cone(3)
+    R, into = signature._counting_ring(cone)
+    assert R.variables == ("z", "x", "y")
+    assert into(cone.ring.parse("x*y^2 - z")).terms == {(0, 1, 2): 1, (1, 0, 0): 2}
+    assert splitting_number(cone, 6, method="linear") == (3**12 + 1) // 2
+    assert signature._counting_ring(_ungraded_pair())[0].variables == ("y", "x")
 
 
 class _FixedSystem(FGradedSystem):
@@ -795,7 +828,7 @@ def test_monomial_rank_route_counts_union_of_boxes_randomized():
         gens = [R.monomial(m, rng.randint(1, p - 1)) for m in exps]
         got = _splitting_number_rank(_FixedSystem(R, Ideal(R, gens)), e)
         assert got == union_of_boxes_count([tuple(q - u for u in m) for m in exps]), (p, e, exps)
-        row, _ = box_rows([q] * n, [g.terms for g in gens])
+        row = box_rows([q] * n, [g.terms for g in gens])
         ech = Echelon(p)
         for g in itertools.product(range(q), repeat=n):
             ech.insert(row(g))
@@ -833,3 +866,84 @@ def test_colon_length_is_dual_to_sum_length_randomized():
             assert splitting_number(sys_, e, "both") == p ** (e * n) - sum_length, (sys_, e)
             levels += not b.is_monomial()
     assert levels >= 24, levels
+
+
+# (kind, p, n, emax): every kind at two or three of p in {2, 3, 5}, n <= 4
+_HOMOGENEOUS_DRAWS = [
+    ("quotient", 2, 3, 3), ("quotient", 3, 3, 2), ("quotient", 2, 4, 2),
+    ("pair", 3, 2, 3), ("pair", 5, 2, 2), ("pair", 2, 3, 3),
+    ("pair2", 2, 2, 3), ("pair2", 3, 2, 2), ("pair2", 5, 2, 2),
+    ("product", 2, 3, 2), ("product", 3, 2, 2), ("product", 2, 2, 3),
+]
+
+
+def _homogeneous_system(rng, kind, p, n):
+    """A random system over F_p in n variables from homogeneous binomials and
+    trinomials: a "quotient" by 1 to n - 2 of degree 2, a "pair" of one or
+    "pair2" of two of degree 2-3, or a "product" of two principal pairs."""
+    R = PolyRing.make(p, ["x", "y", "z", "w"][:n])
+
+    def poly(degree):
+        pool = [m for m in itertools.product(range(degree + 1), repeat=n) if sum(m) == degree]
+        return Polynomial(R, {m: rng.randint(1, p - 1) for m in rng.sample(pool, rng.randint(2, 3))})
+
+    t = Fraction(1, rng.randint(2, 4))
+    if kind == "quotient":
+        return QuotientSystem(R, Ideal(R, [poly(2) for _ in range(rng.randint(1, n - 2))]))
+    polys = [poly(rng.randint(2, 3)) for _ in range(2)]
+    if kind == "product":
+        return ProductSystem(R, [PairSystem(R, Ideal(R, [g]), t) for g in polys])
+    return PairSystem(R, Ideal(R, polys[: 1 + (kind == "pair2")]), t)
+
+
+class _Renamed(FGradedSystem):
+    """A system with its variables reordered by perm: b_e is the base's, exponents permuted."""
+
+    def __init__(self, base, perm):
+        super().__init__(PolyRing(base.ring.field, tuple(base.ring.variables[i] for i in perm)))
+        self.base, self.perm = base, perm
+
+    def _compute(self, e):
+        ring, perm = self.ring, self.perm
+        return Ideal(ring, [
+            Polynomial(ring, {tuple(m[i] for i in perm): c for m, c in g.terms.items()})
+            for g in self.base.b_of(e).generators
+        ])
+
+    def describe(self):
+        return "renamed"
+
+
+def test_every_variable_order_gives_the_same_a_e_randomized(monkeypatch):
+    # a_e does not depend on the term order: in every order of the variables
+    # under degrevlex, the basis route (colon in the ring's order) and the
+    # rank route (its count made in the ring itself, not in the order the
+    # route would choose) both equal the cross-checked a_e of the ring given
+    rng = random.Random(2626)
+    levels = 0
+    for kind, p, n, emax in _HOMOGENEOUS_DRAWS * 2:
+        sys_ = _homogeneous_system(rng, kind, p, n)
+        expected = [splitting_number(sys_, e, "both") for e in range(1, emax + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(signature, "_counting_ring", lambda s: (s.ring, lambda f: f))
+            for perm in itertools.permutations(range(n)):
+                renamed = _Renamed(sys_, perm)
+                for e in range(1, emax + 1):
+                    assert splitting_number(renamed, e, "groebner") == expected[e - 1], (sys_, perm, e)
+                    assert splitting_number(renamed, e, "linear") == expected[e - 1], (sys_, perm, e)
+        levels += sum(1 for a in expected if a)
+    assert levels >= 40, levels
+
+
+def test_double_annihilator_randomized():
+    # S/m^[q] is Gorenstein, so every ideal b_e + m^[q] is the annihilator of
+    # its annihilator: (m^[q] : (m^[q] : b_e)) = b_e + m^[q]
+    rng = random.Random(2727)
+    levels = 0
+    for kind, p, n, emax in _HOMOGENEOUS_DRAWS * 2:
+        sys_ = _homogeneous_system(rng, kind, p, n)
+        for e in range(1, emax + 1):
+            box, b = maximal_bracket(sys_.ring, e), sys_.b_of(e)
+            assert ideal_equals(colon(box, colon(box, b)), ideal_sum(b, box)), (sys_, e)
+            levels += not b.is_monomial()
+    assert levels >= 40, levels

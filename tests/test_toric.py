@@ -16,10 +16,11 @@ import itertools
 
 import pytest
 
-from fsig import _linalg
+import _oracles
+from _oracles import BoxWalk
 from fsig.groebner import Ideal
 from fsig.poly import PolyRing
-from fsig.signature import _descends, splitting_number
+from fsig.signature import splitting_number
 from fsig.systems import QuotientSystem
 
 TWISTED_CUBIC = ["x*z - y^2", "x*w - y*z", "y*w - z^2"]
@@ -44,8 +45,8 @@ def _toric_count(rays, q):
 
 
 # (variables, generators of J, rays, p, the last level checked by both routes,
-# whether the rank route alone checks one level more, which it can afford
-# where that level descends: it walks only the p^n * a_emax lifts)
+# whether the rank route alone checks one level more, which it affords: it
+# runs one Buchberger on m^[q] + b_e and walks no box)
 CASES = [
     *(
         pytest.param(["x", "y", "z"], [f"x*y - z^{n + 1}"], [(0, 1), (n + 1, -n)], p, 3, p < 5, id=f"A{n}-p{p}")
@@ -85,24 +86,22 @@ def test_toric_count_gives_the_recorded_pins():
 
 
 def test_twisted_cubic_p3_walks_the_lifts_of_its_basis(monkeypatch):
-    # b_2 lies in b_1^[3] and b_3 in b_2^[3], so levels 2 and 3 walk the
-    # p^n * a_{e-1} lifts of D_{e-1}: 2,187 cells at e = 3, not 27^4 = 531,441
+    # b_2 lies in b_1^[3] and b_3 in b_2^[3], so the box walk's levels 2 and 3
+    # walk the p^n * a_{e-1} lifts of D_{e-1}: 2,187 cells at e = 3, not
+    # 27^4 = 531,441
     R = PolyRing.make(3, ["x", "y", "z", "w"])
     system = QuotientSystem(R, Ideal(R, [R.parse(g) for g in TWISTED_CUBIC]))
     walked = []
-    box_rows = _linalg.box_rows
+    box_blocks = _oracles.box_blocks
 
-    def counted(box, polys):
-        row, blocks = box_rows(box, polys)
+    def counted(box, polys, parents, s):
+        parents = list(parents)
+        walked.append(len(parents) * s ** len(box))
+        return box_blocks(box, polys, parents, s)
 
-        def lifting(parents, s):
-            parents = list(parents)
-            walked.append(len(parents) * s ** len(box))
-            return blocks(parents, s)
-
-        return row, lifting
-
-    monkeypatch.setattr(_linalg, "box_rows", counted)
-    assert splitting_number(system, 3, "linear") == _toric_count([(0, 1), (3, -1)], 27) == 243
-    assert _descends(system, 2) and _descends(system, 3)
+    monkeypatch.setattr(_oracles, "box_blocks", counted)
+    walk = BoxWalk(system)
+    assert len(walk.cells(3)) == _toric_count([(0, 1), (3, -1)], 27) == 243
+    assert splitting_number(system, 3, "linear") == 243
+    assert walk.descends(2) and walk.descends(3)
     assert walked == [3**4, 3**4 * 3, 3**4 * 27] == [81, 243, 2187]
