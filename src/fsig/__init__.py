@@ -41,7 +41,7 @@ _EXPORTS = {  # submodule -> the names the package exports from it
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "_linalg")
+_SUBMODULES = tuple(_EXPORTS)
 
 __all__ = sorted(_ORIGIN)
 

@@ -140,6 +140,8 @@ def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
         inner = _brace_body(body, "product", "[]", line, shift)
         factors = []
         for off, chunk in _split_top_level(inner, ","):
+            if not chunk.strip():
+                raise ProblemError("empty product factor", line, shift + off)
             factors.append(_parse_system(chunk, ring, line, shift + off))
         return ("product", factors)
     raise ProblemError(f"unknown system kind in {body[:24]!r}", line, shift)

@@ -7,7 +7,7 @@ exact for a unit operand (no Buchberger run is spent ruling one out):
   it combinatorial: lcm intersections, monomial bases, monomial divisions
 * principal by principal     -> one exact division when the divisor divides
 * box ideal I = <x_i^{b_i}>  -> order-driven linear elimination over the
-  standard monomials, on the box rows of _linalg.box_rows, yielding
+  standard monomials, on the rows of box_rows (below), yielding
   the reduced Groebner basis directly; covers m^[q] and the unit ideal
 * anything else              -> _colon_elimination, the chain
   B_j = (1/f_j)(I cap f_j*B_{j-1}) from B_0 = S over the generators f_j of J,
@@ -15,15 +15,25 @@ exact for a unit operand (no Buchberger run is spent ruling one out):
 
 Intersections and the tangent cone eliminate an auxiliary variable with
 groebner.eliminate, which reduces only the basis elements it keeps.
+
+box_rows alone knows the multiplication matrix of S/<x_i^{b_i}>: its columns
+and which cells have a row.  It serves row(g) for one cell, which the colon
+asks for as it walks candidates in term order.  A row is a dict mapping
+column index to a coefficient in [1, p), with one entry per generator term
+landing in the box, so a sparse row costs what it holds.  Echelon, row echelon
+over F_p, keeps each pivot row as it reduced.  Its columns below 0 are label
+columns, never a lead: the colon tags each candidate row with its own, so a
+row that depends on earlier ones reduces to the labels of its dependency.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Tuple
+from bisect import bisect_left
+from operator import lt, mul
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from . import _linalg
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -223,11 +233,126 @@ def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
+def box_rows(
+    box: Sequence[int], polys: Sequence[Dict[Tuple[int, ...], int]]
+) -> Callable[[Tuple[int, ...]], Dict[int, int]]:
+    """row(g) = x^g * f_j mod <x_i^{box_i}> stacked over j.
+
+    polys are term dicts {exponents: nonzero coefficient}.  Target t of f_j
+    has column j*|box| + the mixed-radix index of t (first variable most
+    significant).  Term m reaches cell g exactly when g_i < box_i - m_i for
+    every i, so terms never share a column.  Each generator's sorted in-box
+    terms are split greedily, once, into chains along which every coordinate
+    is monotone; the terms of a chain that reach a cell are then a slice of
+    it, each falling coordinate bounding it below and every other one above,
+    read off a table by the coordinate's value; row(g) is {} off the box.
+    box has at least one side.
+    """
+    strides, size = [], 1
+    for b in reversed(box):
+        strides.insert(0, size)
+        size *= b
+    n = len(box)
+    gens = [
+        sorted((m, j * size + sum(map(mul, m, strides)), c) for m, c in f.items() if all(map(lt, m, box)))
+        for j, f in enumerate(polys)
+    ]
+    runs = []  # per chain: its terms (exponents, column offset, coefficient), its lower and its upper bounds
+    for inbox in gens:
+        chains: List[Tuple[List[int], List[Tuple[Tuple[int, ...], int, int]]]] = []  # (sign, terms)
+        for term in inbox:
+            for sign, chain in chains:  # sign: +1 rising, -1 falling, 0 constant so far
+                step = [(u > v) - (u < v) for u, v in zip(term[0], chain[-1][0])]
+                if all(a * b >= 0 for a, b in zip(step, sign)):
+                    sign[:] = [a or b for a, b in zip(sign, step)]
+                    chain.append(term)
+                    break
+            else:
+                chains.append(([0] * n, [term]))
+        for sign, chain in chains:
+            cols = [sorted(col) for col in zip(*(m for m, _, _ in chain))]
+            cuts = [[bisect_left(col, b - v) for v in range(b)] for col, b in zip(cols, box)]
+            # a bound is (stride, side, slice end by coordinate value)
+            falls = [(strides[i], box[i], [len(chain) - k for k in cuts[i]]) for i in range(n) if sign[i] < 0]
+            runs.append((chain, falls, [(strides[i], box[i], cuts[i]) for i in range(n) if sign[i] >= 0]))
+
+    def row(cell: Tuple[int, ...]) -> Dict[int, int]:
+        vec: Dict[int, int] = {}
+        if not all(map(lt, cell, box)):
+            return vec
+        g = sum(map(mul, cell, strides))
+        for chain, falls, rises in runs:
+            lo, hi = 0, len(chain)
+            for t, b, cut in falls:
+                k = cut[g // t % b]
+                if k > lo:
+                    lo = k
+            for t, b, cut in rises:
+                k = cut[g // t % b]
+                if k < hi:
+                    hi = k
+            for _, o, c in chain[lo:hi]:
+                vec[g + o] = c
+        return vec
+
+    return row
+
+
+class Echelon:
+    """Row space accumulator over F_p; insert vectors one at a time, rank = pivot count.
+
+    Columns below 0 are label columns: row operations carry them, but they are
+    never a lead.  A vector tagged with a label column of its own (coefficient
+    1) that depends on earlier vectors reduces to its certificate: its own
+    label minus sum(c * earlier label), a combination that cancels on every
+    column at 0 and above.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: Dict[int, Dict[int, int]] = {}  # leading index -> reduced row, as inserted
+        self._inv: Dict[int, int] = {}  # coefficient -> its inverse mod p
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, vec: Dict[int, int]) -> bool:
+        """Reduce vec in place down to its label columns; True iff it became a pivot.
+
+        vec is kept as a pivot when anything at column 0 or above survives;
+        otherwise only its label columns are left in it.  Pivot rows are kept
+        as they reduced, not made monic: the multiplier against a pivot is
+        vec[lead] / row[lead].
+        """
+        p = self.p
+        while vec:
+            lead = max(vec)
+            if lead < 0:
+                return False
+            row = self.pivots.get(lead)
+            if row is None:
+                self.pivots[lead] = vec
+                return True
+            c = row[lead]
+            inv = self._inv.get(c)
+            if inv is None:
+                inv = self._inv[c] = pow(c, -1, p)
+            lam = vec[lead] * inv % p
+            for k, v in row.items():
+                nv = (vec.get(k, 0) - lam * v) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return False
+
+
 def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     """(I : J) for the box ideal I = <x_i^{box_i}> by linear elimination.
 
     Walks candidate monomials in increasing term order.  The row of the k-th
-    candidate m (m*f_j mod I stacked over j: row(m) of _linalg.box_rows, {}
+    candidate m (m*f_j mod I stacked over j: row(m) of box_rows, {}
     past the box) carries label column ~k.  When it depends linearly on the
     rows of the smaller standard monomials, the echelon leaves exactly its
     labels: the reduced-basis element m - sum(c_b * b), monic and led by m.
@@ -240,9 +365,9 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
     ring = I.ring
     order = ring.order
     n = ring.nvars
-    row = _linalg.box_rows(box, [f.terms for f in J.generators])
+    row = box_rows(box, [f.terms for f in J.generators])
 
-    ech = _linalg.Echelon(ring.p)
+    ech = Echelon(ring.p)
     heap: List[Tuple[object, Exponents]] = [(order.key((0,) * n), (0,) * n)]
     standard = set()  # candidates confirmed standard so far
     labels: List[Exponents] = []  # candidate k has label column ~k

@@ -25,8 +25,8 @@ normalises by a gcd after every operation and that cost dominated clipping:
 
 The facets of `newton_polyhedron` come from the same enumerator: by blocking
 duality they are the vertices of {a >= 0 : a.pt >= 1}, which lie in the cube.
-Every rank and determinant is one pass of the integer eliminator
-`_linalg._bareiss`.
+_bareiss, fraction-free Gauss-Jordan over the integers, is the one integer
+eliminator: every rank and determinant here is one pass of it.
 """
 
 from __future__ import annotations
@@ -35,12 +35,56 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from ._linalg import IntPoint, _bareiss, _reduced
 from .poly import FrozenRecord
 
 DIMENSION_CAP = 6
 
 Vector = Tuple[Fraction, ...]
+IntPoint = Tuple[Tuple[int, ...], int]  # (numerators, denominator)
+
+
+# -- integer elimination --------------------------------------------------
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]], int]:
+    """Fraction-free Gauss-Jordan on integer rows: (pivot columns, pivot rows, last pivot).
+
+    After each step every row other than the pivot row is (pivot * row - f *
+    pivot row) / previous pivot, an exact division, because each entry is a
+    minor of the input (Bareiss; Nakos, Turner and Williams).  Each pivot row
+    holds the last pivot at its own pivot column and 0 at the others, so the
+    rows over the last pivot are the reduced row echelon form; the rank is the
+    number of pivots, and for a square matrix of full rank the last pivot is
+    +-det.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots: List[int] = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pc = prow[c]
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(rows[i], prow)]
+        prev = pc
+        pivots.append(c)
+    return pivots, rows[: len(pivots)], prev
+
+
+def _reduced(nums: Sequence[int], den: int) -> IntPoint:
+    """The point nums / den as (numerators, den), reduced by their gcd with den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(x // g for x in nums), den // g
 
 
 # -- Newton polyhedron ----------------------------------------------------

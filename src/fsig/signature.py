@@ -44,13 +44,7 @@ class MethodDisagreement(InternalInvariantError):
 
 def maximal_bracket(ring: PolyRing, e: int) -> Ideal:
     """The ideal of p^e-th powers of all variables."""
-    q = ring.p**e
-    gens = []
-    for i in range(ring.nvars):
-        exps = [0] * ring.nvars
-        exps[i] = q
-        gens.append(ring.monomial(tuple(exps)))
-    return Ideal(ring, gens)
+    return bracket_power(Ideal(ring, [ring.variable(v) for v in ring.variables]), e)
 
 
 def splitting_ideal(sys: FGradedSystem, e: int) -> Ideal:
@@ -240,8 +234,9 @@ def signature_sequence(
 def is_f_pure(sys: FGradedSystem, emax: int) -> Tuple[bool, Optional[int]]:
     """Purity up to emax: a_e != 0 iff b_e escapes the variable bracket.
 
-    b_e escapes m^[q] exactly when some generator has a term with every
-    exponent below q, the same test the rank route applies to each term.
+    m^[q] is a monomial ideal, so it holds a polynomial exactly when it holds
+    each term: b_e escapes m^[q] exactly when some generator has a term with
+    every exponent below q.
     A positive answer is sound with its witness level; a negative answer only
     covers levels up to emax.
     """

@@ -577,7 +577,7 @@ def torus_grading(groups: Iterable[Sequence[Tuple[int, ...]]], n: int) -> List[T
     row that is den at f and -R[i][f] at P[i], positive at f.  No difference
     leaves the unit rows; differences of rank n leave [], a single degree.
     """
-    from fsig._linalg import _bareiss, _reduced
+    from fsig.newton import _bareiss, _reduced
 
     P, R, den = _bareiss([tuple(map(sub, m, ms[0])) for ms in groups for m in ms[1:]])
     W = []
@@ -605,7 +605,7 @@ def box_blocks(
     whose lift s*d lies past every term's reach in some coordinate (so every
     lift does) is skipped.
     """
-    from fsig._linalg import box_rows
+    from fsig.ideals import box_rows
 
     row = box_rows(box, polys)
     n = len(box)
@@ -685,7 +685,7 @@ class BoxWalk:
         return all(normal_form(g, bracket).is_zero() for g in self.sys.b_of(e).generators)
 
     def cells(self, e: int) -> array:
-        from fsig._linalg import Echelon
+        from fsig.ideals import Echelon
 
         got = self.pivot_cells.get(e)
         if got is None:

@@ -268,6 +268,20 @@ def test_main_rejects_vars_that_are_not_identifiers(tmp_path, capsys, names):
     assert parse_problem_file(sub).variables == ("x_1", "_y", "Z9")
 
 
+@pytest.mark.parametrize(
+    "system, col",
+    [("product [ ]", 9), ("product [ pair { a = [x], t = 1/2 }, ]", 36)],
+)
+def test_main_rejects_an_empty_product_factor(tmp_path, capsys, system, col):
+    # reported like an empty polynomial entry: at the empty chunk's offset in the list
+    path = tmp_path / "product.fsig"
+    path.write_text(f"p = 3\nvars = x, y\nsystem = {system}\nmode = signature\n")
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fsig: line 3, col {col}: empty product factor\n"
+
+
 def test_main_method_flag(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)

@@ -8,7 +8,7 @@ import pytest
 
 import _oracles
 from _oracles import box_blocks, box_row, dense_rank_modp, fraction_rref, torus_grading
-from fsig._linalg import Echelon, box_rows
+from fsig.ideals import Echelon, box_rows
 
 
 def vector_from_items(p, items):

@@ -280,7 +280,7 @@ def test_clip_eliminates_at_most_once_per_t(monkeypatch):
     # a work pin without a wall clock: clip's vertices come from double
     # description, which needs no elimination, so the one _bareiss pass left
     # is the full-dimension rank test
-    import fsig.newton as newton  # newton calls the _linalg eliminator through its own name
+    import fsig.newton as newton
 
     P = newton_polyhedron([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 4), (1, 1, 1, 1)])
     calls = []
@@ -353,7 +353,7 @@ def test_integer_kernels_match_fraction_elimination():
     # one fraction-free Gauss-Jordan pass: its pivots and rows over the last
     # pivot are the rational RREF, its last pivot is +-det, and the solution
     # of a square system is read off the reduced rows of [A | b]
-    from fsig._linalg import _bareiss, _reduced
+    from fsig.newton import _bareiss, _reduced
     from _oracles import fraction_rref as _rref
 
     rng = random.Random(31)

@@ -8,9 +8,8 @@ import pytest
 import _oracles
 from _oracles import BoxWalk, box_blocks, box_multiplication_rank, torus_grading, union_of_boxes_count
 from fsig import groebner
-from fsig._linalg import Echelon, box_rows
 from fsig.groebner import Ideal, ideal_membership, quotient_length
-from fsig.ideals import bracket_power, colon, ideal_equals, ideal_sum
+from fsig.ideals import Echelon, box_rows, bracket_power, colon, ideal_equals, ideal_sum
 from fsig.poly import PolyRing, Polynomial, ResourceLimitError
 import fsig.signature as signature
 from fsig.signature import (
