@@ -1,8 +1,8 @@
 """Problem-file parsing, pipeline orchestration, table/JSON/CSV reports.
 
 Problem files are line-oriented `key = value` text with `#` comments; see the
-README for the grammar.  Exit codes: 0 success, 1 parse or semantic error,
-2 infeasible mode for the input, 3 resource cap.
+README for the grammar.  Exit codes: 0 success, 1 parse or semantic error
+or bad flag, 2 infeasible mode for the input, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .poly import (
@@ -45,23 +46,14 @@ class ProblemError(ValueError):
 
 class Problem(Record):
     __slots__ = _fields = (
-        "p", "variables", "order_name", "system_ast", "mode", "emax", "ceiling", "t_sweep",
-        "threshold_deg", "method", "system_pos",  # system_pos: line, column of the system key
+        "p", "variables", "ring", "system_ast", "mode", "emax", "ceiling", "t_sweep", "threshold_deg", "method",
     )
-    _defaults = {
-        "ceiling": "pminusone", "t_sweep": None, "threshold_deg": None, "method": "both", "system_pos": (0, 0),
-    }
-
-    def ring(self) -> PolyRing:
-        return PolyRing.make(self.p, self.variables, ORDERS[self.order_name])
+    _defaults = {"ceiling": "pminusone", "t_sweep": None, "threshold_deg": None, "method": "both"}
 
     def system(self) -> FGradedSystem:
         from .systems import make_system
 
-        try:
-            return make_system(self.system_ast, self.ring(), self.ceiling)
-        except ValueError as err:  # e.g. a quotient by the unit ideal
-            raise ProblemError(str(err), *self.system_pos) from None
+        return make_system(self.system_ast, self.ring, self.ceiling)
 
 
 class RunResult(Record):
@@ -70,6 +62,14 @@ class RunResult(Record):
 
 
 # -- parsing --------------------------------------------------------------
+# Every helper takes the column of its text's first character, so each error
+# names the column of the text it is about, however deeply it is nested.
+
+def _strip(text: str, col: int) -> Tuple[str, int]:
+    """text without its surrounding blanks, and the column where that begins."""
+    body = text.lstrip()
+    return body.rstrip(), col + len(text) - len(body)
+
 
 def _split_top_level(text: str, seps: str) -> List[Tuple[int, str]]:
     """Split on separators outside any bracket, keeping start offsets."""
@@ -89,7 +89,7 @@ def _split_top_level(text: str, seps: str) -> List[Tuple[int, str]]:
 
 
 def _parse_rational(text: str, line: int, col: int) -> Fraction:
-    body = text.strip()
+    body, start = _strip(text, col)
     if not body:
         raise ProblemError("expected a rational number", line, col)
     try:
@@ -98,15 +98,15 @@ def _parse_rational(text: str, line: int, col: int) -> Fraction:
             return Fraction(int(num.strip()), int(den.strip()))
         return Fraction(int(body))
     except (ValueError, ZeroDivisionError):
-        raise ProblemError(f"bad rational {body!r}", line, col) from None
+        raise ProblemError(f"bad rational {body!r}", line, start) from None
 
 
-def _parse_poly_list(body: str, ring: PolyRing, line: int, col: int) -> List[Polynomial]:
-    inner = body.strip()
-    if not (inner.startswith("[") and inner.endswith("]")):
+def _parse_poly_list(text: str, ring: PolyRing, line: int, col: int) -> List[Polynomial]:
+    body, col = _strip(text, col)
+    if not (body.startswith("[") and body.endswith("]")):
         raise ProblemError("expected [ poly, ... ]", line, col)
     out = []
-    for off, chunk in _split_top_level(inner[1:-1], ","):
+    for off, chunk in _split_top_level(body[1:-1], ","):
         if not chunk.strip():
             raise ProblemError("empty polynomial entry", line, col + 1 + off)
         try:
@@ -116,57 +116,65 @@ def _parse_poly_list(body: str, ring: PolyRing, line: int, col: int) -> List[Pol
     return out
 
 
-def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
-    body = text.strip()
-    shift = col + (len(text) - len(text.lstrip()))
-    if body.startswith("quotient"):
-        inner = _brace_body(body, "quotient", "{}", line, shift)
-        fields = _key_fields(inner, line, shift)
-        if set(fields) != {"J"}:
-            raise ProblemError("quotient needs exactly J = [...]", line, shift)
-        off, val = fields["J"]
-        return ("quotient", _parse_poly_list(val, ring, line, shift + off))
-    if body.startswith("pair"):
-        inner = _brace_body(body, "pair", "{}", line, shift)
-        fields = _key_fields(inner, line, shift)
-        if set(fields) != {"a", "t"}:
-            raise ProblemError("pair needs exactly a = [...] and t = <rat>", line, shift)
-        a_off, a_val = fields["a"]
-        t_off, t_val = fields["t"]
-        gens = _parse_poly_list(a_val, ring, line, shift + a_off)
-        t = _parse_rational(t_val, line, shift + t_off)
-        return ("pair", gens, t)
-    if body.startswith("product"):
-        inner = _brace_body(body, "product", "[]", line, shift)
-        factors = []
-        for off, chunk in _split_top_level(inner, ","):
-            if not chunk.strip():
-                raise ProblemError("empty product factor", line, shift + off)
-            factors.append(_parse_system(chunk, ring, line, shift + off))
-        return ("product", factors)
-    raise ProblemError(f"unknown system kind in {body[:24]!r}", line, shift)
-
-
-def _brace_body(body: str, keyword: str, braces: str, line: int, col: int) -> str:
-    rest = body[len(keyword):].strip()
-    if not (rest.startswith(braces[0]) and rest.endswith(braces[1])):
-        raise ProblemError(f"{keyword} needs {braces[0]}...{braces[1]}", line, col)
-    return rest[1:-1]
-
-
-def _key_fields(inner: str, line: int, col: int) -> Dict[str, Tuple[int, str]]:
-    fields: Dict[str, Tuple[int, str]] = {}
+def _key_fields(inner: str, line: int, col: int) -> Dict[str, Tuple[str, int]]:
+    """name -> (value text, column of the value) of the fields inside a brace."""
+    fields: Dict[str, Tuple[str, int]] = {}
     for off, chunk in _split_top_level(inner, ","):
         if not chunk.strip():
             continue
         if "=" not in chunk:
-            raise ProblemError(f"expected key = value in {chunk.strip()!r}", line, col + off)
+            raise ProblemError(f"expected key = value in {chunk.strip()!r}", line, _strip(chunk, col + off)[1])
         key, val = chunk.split("=", 1)
-        name = key.strip()
+        name, key_col = _strip(key, col + off)
         if name in fields:
-            raise ProblemError(f"duplicate field {name!r}", line, col + off)
-        fields[name] = (off + len(key) + 1, val)
+            raise ProblemError(f"duplicate field {name!r}", line, key_col)
+        fields[name] = (val, col + off + len(key) + 1)
     return fields
+
+
+def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
+    """Read one system node and check what make_system would reject.
+
+    A node's own errors name the column of its first character.
+    """
+    body, col = _strip(text, col)
+    kind = next((k for k in ("quotient", "pair", "product") if body.startswith(k)), None)
+    if kind is None:
+        raise ProblemError(f"unknown system kind in {body[:24]!r}", line, col)
+    rest, rest_col = _strip(body[len(kind):], col + len(kind))
+    opening, closing = "[]" if kind == "product" else "{}"
+    if not (rest.startswith(opening) and rest.endswith(closing)):
+        raise ProblemError(f"{kind} needs {opening}...{closing}", line, col)
+    inner, inner_col = rest[1:-1], rest_col + 1
+    if kind == "product":
+        factors = []
+        for off, chunk in _split_top_level(inner, ","):
+            if not chunk.strip():
+                raise ProblemError("empty product factor", line, inner_col + off)
+            factors.append(_parse_system(chunk, ring, line, inner_col + off))
+        return ("product", factors)
+    fields = _key_fields(inner, line, inner_col)
+    if kind == "quotient":
+        if set(fields) != {"J"}:
+            raise ProblemError("quotient needs exactly J = [...]", line, col)
+        J_text, J_col = fields["J"]
+        gens = _parse_poly_list(J_text, ring, line, J_col)
+        if all(g.is_zero() for g in gens):
+            raise ProblemError("quotient system needs a non-zero ideal", line, col)
+        # s_e is taken at the origin, where S/J is 0 unless J lies in m
+        if any(not any(m) for g in gens for m in g.terms):
+            raise ProblemError("quotient system needs generators with no constant term", line, col)
+        return ("quotient", gens)
+    if set(fields) != {"a", "t"}:
+        raise ProblemError("pair needs exactly a = [...] and t = <rat>", line, col)
+    (a_text, a_col), (t_text, t_col) = fields["a"], fields["t"]
+    gens = _parse_poly_list(a_text, ring, line, a_col)
+    t = _parse_rational(t_text, line, t_col)
+    if all(g.is_zero() for g in gens):
+        raise ProblemError("pair system needs a non-zero ideal", line, col)
+    if t < 0:
+        raise ProblemError("t must be nonnegative", line, _strip(t_text, t_col)[1])
+    return ("pair", gens, t)
 
 
 def _choice(entry: Optional[Tuple[int, int, str]], choices, what: str, default: Optional[str] = None) -> str:
@@ -237,9 +245,8 @@ def parse_problem_file(text: str) -> Problem:
         pieces = val.split(":")
         if len(pieces) != 3:
             raise ProblemError("t_sweep needs start:step:end", lineno, col)
-        start = _parse_rational(pieces[0], lineno, col)
-        step = _parse_rational(pieces[1], lineno, col)
-        end = _parse_rational(pieces[2], lineno, col)
+        cols = accumulate((len(piece) + 1 for piece in pieces[:2]), initial=col)
+        start, step, end = (_parse_rational(piece, lineno, c) for piece, c in zip(pieces, cols))
         if step <= 0 or end < start or start < 0:
             raise ProblemError("t_sweep needs 0 <= start <= end and step > 0", lineno, col)
         t_sweep = (start, step, end)
@@ -250,7 +257,6 @@ def parse_problem_file(text: str) -> Problem:
     except ValueError as err:
         raise ProblemError(str(err), lineno, col) from None
     ast = _parse_system(val, ring, lineno, col)
-    _validate_ast(ast, lineno, col)
 
     if mode == "monomial":
         from .newton import DIMENSION_CAP
@@ -268,29 +274,13 @@ def parse_problem_file(text: str) -> Problem:
     return Problem(
         p=p,
         variables=variables,
-        order_name=order_name,
+        ring=ring,
         system_ast=ast,
         mode=mode,
         emax=emax,
         ceiling=ceiling,
         t_sweep=t_sweep,
-        system_pos=(lineno, col),
     )
-
-
-def _validate_ast(ast: tuple, line: int, col: int):
-    kind = ast[0]
-    if kind == "quotient":
-        if all(g.is_zero() for g in ast[1]):
-            raise ProblemError("quotient system needs a non-zero ideal", line, col)
-    elif kind == "pair":
-        if all(g.is_zero() for g in ast[1]):
-            raise ProblemError("pair system needs a non-zero ideal", line, col)
-        if ast[2] < 0:
-            raise ProblemError("t must be nonnegative", line, col)
-    else:
-        for sub in ast[1]:
-            _validate_ast(sub, line, col)
 
 
 # -- orchestration ---------------------------------------------------------
@@ -510,7 +500,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="both",
         help="splitting-number algorithm(s)",
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a bad flag, after the usage on stderr, is an input error
+        return 1 if exc.code else 0
 
     try:
         with open(args.file, "r", encoding="utf-8") as handle:

@@ -270,16 +270,90 @@ def test_main_rejects_vars_that_are_not_identifiers(tmp_path, capsys, names):
 
 @pytest.mark.parametrize(
     "system, col",
-    [("product [ ]", 9), ("product [ pair { a = [x], t = 1/2 }, ]", 36)],
+    [("product [ ]", 18), ("product [ pair { a = [x], t = 1/2 }, ]", 45)],
 )
 def test_main_rejects_an_empty_product_factor(tmp_path, capsys, system, col):
-    # reported like an empty polynomial entry: at the empty chunk's offset in the list
+    # reported like an empty polynomial entry: at the column where the empty chunk begins
     path = tmp_path / "product.fsig"
     path.write_text(f"p = 3\nvars = x, y\nsystem = {system}\nmode = signature\n")
     assert main([str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"fsig: line 3, col {col}: empty product factor\n"
+
+
+# (system expression, message, the text the message is about): the error is
+# reported at that text's first column on the line
+SYSTEM_ERRORS = [
+    ("pair { a = [x, ], t = 1/2 }", "empty polynomial entry", " ]"),
+    ("product [ ]", "empty product factor", " ]"),
+    ("product [ pair { a = [x], t = 1/2 }, ]", "empty product factor", " ]"),
+    ("product [ pair { a = [x], t = 1/2 }, pair { a = [ x*w ], t = 1 } ]", "unknown variable 'w'", "w"),
+    ("product [ pair { a = [x], t = 1/2 }, quotient { J = [ x + 1 ] } ]",
+     "quotient system needs generators with no constant term", "quotient"),
+    ("pair { a = [x], t = 1/0 }", "bad rational '1/0'", "1/0"),
+    ("product [ pair { a = [y], t = 1/0 } ]", "bad rational '1/0'", "1/0"),
+    ("product [ pair { a = [y], t = } ]", "expected a rational number", " }"),
+    ("product [ pair { a = [y], t = -1/2 } ]", "t must be nonnegative", "-1/2"),
+    ("product [ pair { a = [y], t = 1 }, quotient { J = [ 0 ] } ]", "quotient system needs a non-zero ideal",
+     "quotient"),
+    ("product [ pair { a = [ 3*y ], t = 1 } ]", "pair system needs a non-zero ideal", "pair"),
+    ("product [ pair { a = y, t = 1 } ]", "expected [ poly, ... ]", "y, t"),
+    ("product [ pair { a = [y], a = [x], t = 1 } ]", "duplicate field 'a'", "a = [x]"),
+    ("product [ pair { a = [y], 1 } ]", "expected key = value in '1'", "1"),
+    ("product [ pair { a = [y] } ]", "pair needs exactly a = [...] and t = <rat>", "pair"),
+    ("product [ quotient { a = [y] } ]", "quotient needs exactly J = [...]", "quotient"),
+    ("product [ pair [ a = [y], t = 1 ] ]", "pair needs {...}", "pair"),
+    ("product [ cone { } ]", "unknown system kind in 'cone { }'", "cone"),
+    ("product pair { a = [y], t = 1 }", "product needs [...]", "product"),
+]
+
+
+@pytest.mark.parametrize("system, message, part", SYSTEM_ERRORS)
+def test_system_errors_name_the_column_of_their_text(system, message, part):
+    line = f"system = {system}"
+    assert line.count(part) == 1
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file(f"p = 3\nvars = x, y\n{line}\nmode = signature\n")
+    assert str(err.value) == f"line 3, col {line.index(part)}: {message}"
+
+
+@pytest.mark.parametrize("inner", ["quotient { J = [ 0 ] }", "quotient { J = [ x, 1 + y ] }", "pair { a = [x], t = -1 }"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_what_make_system_rejects_is_an_input_error(tmp_path, capsys, inner, nested):
+    # a zero ideal, a constant term and a negative t are found while the file is read
+    system = f"product [ pair {{ a = [y], t = 1/2 }}, {inner} ]" if nested else inner
+    text = f"p = 3\nvars = x, y\nsystem = {system}\nmode = signature\n"
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file(text)
+    path = tmp_path / "bad.fsig"
+    path.write_text(text)
+    assert main([str(path)]) == 1
+    assert capsys.readouterr() == ("", f"fsig: {err.value}\n")
+
+
+@pytest.mark.parametrize("sweep, piece", [("x : 1/4 : 1", "x"), ("0 : 1/x : 1", "1/x"), ("0 : 1/4 :  ", "  ")])
+def test_t_sweep_errors_name_the_column_of_their_piece(sweep, piece):
+    line = f"t_sweep = {sweep}"
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file(MONOMIAL + line + "\n")
+    assert (err.value.line, err.value.column) == (5, line.index(piece))
+
+
+@pytest.mark.parametrize(
+    "flags", [["--method", "bogus"], ["--emax", "x"], []], ids=["bad-method", "bad-emax", "no-file"]
+)
+def test_main_exits_1_on_a_bad_flag(tmp_path, capsys, flags):
+    path = tmp_path / "snc.fsig"
+    path.write_text(SNC)
+    args = [str(path), *flags] if flags else []
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fsig")
+    assert "error:" in captured.err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fsig")
 
 
 def test_main_method_flag(tmp_path, capsys):

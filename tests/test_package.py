@@ -50,6 +50,7 @@ EXPORTS = {
 
 GROEBNER_LAYER = {"fsig", "fsig.groebner", "fsig.ideals", "fsig.poly", "fsig.signature", "fsig.systems"}
 MONOMIAL_LAYER = {"fsig", "fsig.newton", "fsig.poly"}
+PARSER = {"fsig", "fsig.cli", "fsig.poly"}
 
 WRAPPER = """\
 import runpy, sys
@@ -138,6 +139,26 @@ def test_each_mode_loads_exactly_its_modules(problem, modules):
     assert out
     assert loaded == modules
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "problem, modules",
+    [
+        ("cone.fsig", PARSER),  # quotient
+        ("cusp.fsig", PARSER),  # pair
+        ("snc.fsig", PARSER),  # product
+        ("monomial.fsig", PARSER | {"fsig.newton"}),  # for its dimension cap
+    ],
+)
+def test_reading_a_problem_file_loads_exactly_its_modules(problem, modules):
+    # every check made while a file is read runs without the Groebner layer
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import fsig.cli; "
+        f"fsig.cli.parse_problem_file({(PROBLEMS / problem).read_text(encoding='utf-8')!r}); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fsig'))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert set(proc.stdout.split()) == modules, proc.stderr
 
 
 def test_out_of_memory_in_monomial_mode_exits_3_with_its_message():
