@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 
 MODES = ("signature", "ratio", "prime", "fpure", "monomial")
 ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
+_DEFAULTS = {"order": "degrevlex", "emax": "3", "ceiling": "pminusone"}  # text for the keys a file may omit
 
 
 class ProblemError(ValueError):
@@ -48,7 +49,7 @@ class Problem(Record):
     __slots__ = _fields = (
         "p", "variables", "ring", "system_ast", "mode", "emax", "ceiling", "t_sweep", "threshold_deg", "method",
     )
-    _defaults = {"ceiling": "pminusone", "t_sweep": None, "threshold_deg": None, "method": "both"}
+    _defaults = {"threshold_deg": None, "method": "both"}
 
     def system(self) -> FGradedSystem:
         from .systems import make_system
@@ -62,13 +63,13 @@ class RunResult(Record):
 
 
 # -- parsing --------------------------------------------------------------
-# Every helper takes the column of its text's first character, so each error
-# names the column of the text it is about, however deeply it is nested.
+# Every key and value, however deeply nested, is read with the column of its
+# first character, so each error names the column of the text it is about.
 
 def _strip(text: str, col: int) -> Tuple[str, int]:
-    """text without its surrounding blanks, and the column where that begins."""
-    body = text.lstrip()
-    return body.rstrip(), col + len(text) - len(body)
+    """text without its surrounding blanks, and the column where that begins (where text does, if blank)."""
+    body = text.strip()
+    return body, col + text.find(body[:1])
 
 
 def _split_top_level(text: str, seps: str) -> List[Tuple[int, str]]:
@@ -101,7 +102,7 @@ def _parse_rational(text: str, line: int, col: int) -> Fraction:
         raise ProblemError(f"bad rational {body!r}", line, start) from None
 
 
-def _parse_poly_list(text: str, ring: PolyRing, line: int, col: int) -> List[Polynomial]:
+def _parse_poly_list(text: str, line: int, col: int, ring: PolyRing) -> List[Polynomial]:
     body, col = _strip(text, col)
     if not (body.startswith("[") and body.endswith("]")):
         raise ProblemError("expected [ poly, ... ]", line, col)
@@ -132,7 +133,7 @@ def _key_fields(inner: str, line: int, col: int) -> Dict[str, Tuple[str, int]]:
     return fields
 
 
-def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
+def _parse_system(text: str, line: int, col: int, ring: PolyRing) -> tuple:
     """Read one system node and check what make_system would reject.
 
     A node's own errors name the column of its first character.
@@ -151,14 +152,14 @@ def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
         for off, chunk in _split_top_level(inner, ","):
             if not chunk.strip():
                 raise ProblemError("empty product factor", line, inner_col + off)
-            factors.append(_parse_system(chunk, ring, line, inner_col + off))
+            factors.append(_parse_system(chunk, line, inner_col + off, ring))
         return ("product", factors)
     fields = _key_fields(inner, line, inner_col)
     if kind == "quotient":
         if set(fields) != {"J"}:
             raise ProblemError("quotient needs exactly J = [...]", line, col)
         J_text, J_col = fields["J"]
-        gens = _parse_poly_list(J_text, ring, line, J_col)
+        gens = _parse_poly_list(J_text, line, J_col, ring)
         if all(g.is_zero() for g in gens):
             raise ProblemError("quotient system needs a non-zero ideal", line, col)
         # s_e is taken at the origin, where S/J is 0 unless J lies in m
@@ -168,7 +169,7 @@ def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
     if set(fields) != {"a", "t"}:
         raise ProblemError("pair needs exactly a = [...] and t = <rat>", line, col)
     (a_text, a_col), (t_text, t_col) = fields["a"], fields["t"]
-    gens = _parse_poly_list(a_text, ring, line, a_col)
+    gens = _parse_poly_list(a_text, line, a_col, ring)
     t = _parse_rational(t_text, line, t_col)
     if all(g.is_zero() for g in gens):
         raise ProblemError("pair system needs a non-zero ideal", line, col)
@@ -177,99 +178,96 @@ def _parse_system(text: str, ring: PolyRing, line: int, col: int) -> tuple:
     return ("pair", gens, t)
 
 
-def _choice(entry: Optional[Tuple[int, int, str]], choices, what: str, default: Optional[str] = None) -> str:
-    """The value of an enumerated key, or default when the file omits it."""
-    if entry is None:
-        return default
-    lineno, col, val = entry
-    if val.strip() not in choices:
-        raise ProblemError(f"unknown {what} {val.strip()!r}", lineno, col)
-    return val.strip()
+def _choice(text: str, line: int, col: int, choices, what: str) -> str:
+    body, start = _strip(text, col)
+    if body not in choices:
+        raise ProblemError(f"unknown {what} {body!r}", line, start)
+    return body
 
 
-def _integer(entry: Optional[Tuple[int, int, str]], default: Optional[int] = None) -> int:
-    """The value of an integer key, or default when the file omits it."""
-    if entry is None:
-        return default
-    lineno, col, val = entry
+def _integer(text: str, line: int, col: int) -> int:
+    body, start = _strip(text, col)
     try:
-        return int(val.strip())
+        return int(body)
     except ValueError:
-        raise ProblemError(f"bad integer {val.strip()!r}", lineno, col) from None
+        raise ProblemError(f"bad integer {body!r}", line, start) from None
+
+
+def _parse_vars(text: str, line: int, col: int) -> Tuple[str, ...]:
+    names: List[str] = []
+    for off, chunk in _split_top_level(text, ","):
+        name, start = _strip(chunk, col + off)
+        if not is_identifier(name) or name in names:
+            raise ProblemError("vars must be distinct non-empty identifiers", line, start)
+        names.append(name)
+    return tuple(names)
+
+
+def _parse_sweep(text: str, line: int, col: int) -> Tuple[Fraction, Fraction, Fraction]:
+    pieces = text.split(":")
+    if len(pieces) != 3:
+        raise ProblemError("t_sweep needs start:step:end", line, col)
+    cols = accumulate((len(piece) + 1 for piece in pieces[:2]), initial=col)
+    start, step, end = (_parse_rational(piece, line, c) for piece, c in zip(pieces, cols))
+    if step <= 0 or end < start or start < 0:
+        raise ProblemError("t_sweep needs 0 <= start <= end and step > 0", line, col)
+    return start, step, end
 
 
 def parse_problem_file(text: str) -> Problem:
-    """Parse and semantically validate a problem file."""
-    entries: Dict[str, Tuple[int, int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ProblemError("expected key = value", lineno, 1)
-        key, val = line.split("=", 1)
-        name = key.strip()
-        if name in entries:
-            raise ProblemError(f"duplicate key {name!r}", lineno, 1)
-        entries[name] = (lineno, len(key) + 1, val)
-
+    """Parse and semantically validate a problem file; a missing key is reported where it would go."""
+    lines = text.splitlines()
+    entries: Dict[str, Tuple[str, int, int]] = {}
     known = {"p", "vars", "order", "system", "mode", "emax", "t_sweep", "ceiling"}
-    for name, (lineno, col, _) in entries.items():
+    for lineno, raw in enumerate(lines, start=1):
+        code = raw.split("#", 1)[0]
+        if not code.strip():
+            continue
+        key, eq, val = code.partition("=")
+        name, col = _strip(key, 0)
+        if not eq:
+            raise ProblemError("expected key = value", lineno, col)
         if name not in known:
-            raise ProblemError(f"unknown key {name!r}", lineno, 1)
+            raise ProblemError(f"unknown key {name!r}", lineno, col)
+        if name in entries:
+            raise ProblemError(f"duplicate key {name!r}", lineno, col)
+        value, col = _strip(val, len(key) + 1)
+        entries[name] = (value, lineno, col)
+
+    end = len(lines) + 1
     for required in ("p", "vars", "system", "mode"):
         if required not in entries:
-            raise ProblemError(f"missing required key {required!r}", 1, 1)
+            raise ProblemError(f"missing required key {required!r}", end, 0)
+    for name, value in _DEFAULTS.items():
+        entries.setdefault(name, (value, end, 0))
 
-    p = _integer(entries["p"])
+    p = _integer(*entries["p"])
     if not is_prime(p):
-        raise ProblemError(f"p = {p} is not prime", *entries["p"][:2])
-
-    lineno, col, val = entries["vars"]
-    variables = tuple(v.strip() for v in val.split(","))
-    if not all(map(is_identifier, variables)) or len(set(variables)) != len(variables):
-        raise ProblemError("vars must be distinct non-empty identifiers", lineno, col)
-
-    order_name = _choice(entries.get("order"), ORDERS, "order", "degrevlex")
-    ceiling = _choice(entries.get("ceiling"), CEILING_MODES, "ceiling convention", "pminusone")
-    mode = _choice(entries["mode"], MODES, "mode")
-    emax = _integer(entries.get("emax"), 3)
+        raise ProblemError(f"p = {p} is not prime", *entries["p"][1:])
+    variables = _parse_vars(*entries["vars"])
+    ring = PolyRing.make(p, variables, ORDERS[_choice(*entries["order"], ORDERS, "order")])
+    ceiling = _choice(*entries["ceiling"], CEILING_MODES, "ceiling convention")
+    mode = _choice(*entries["mode"], MODES, "mode")
+    emax = _integer(*entries["emax"])
     if emax < 1:
-        raise ProblemError("emax must be >= 1", *entries["emax"][:2])
+        raise ProblemError("emax must be >= 1", *entries["emax"][1:])
 
     t_sweep = None
     if "t_sweep" in entries:
-        lineno, col, val = entries["t_sweep"]
         if mode != "monomial":
-            raise ProblemError("t_sweep only applies to monomial mode", lineno, col)
-        pieces = val.split(":")
-        if len(pieces) != 3:
-            raise ProblemError("t_sweep needs start:step:end", lineno, col)
-        cols = accumulate((len(piece) + 1 for piece in pieces[:2]), initial=col)
-        start, step, end = (_parse_rational(piece, lineno, c) for piece, c in zip(pieces, cols))
-        if step <= 0 or end < start or start < 0:
-            raise ProblemError("t_sweep needs 0 <= start <= end and step > 0", lineno, col)
-        t_sweep = (start, step, end)
+            raise ProblemError("t_sweep only applies to monomial mode", *entries["t_sweep"][1:])
+        t_sweep = _parse_sweep(*entries["t_sweep"])
 
-    lineno, col, val = entries["system"]
-    try:
-        ring = PolyRing.make(p, variables, ORDERS[order_name])
-    except ValueError as err:
-        raise ProblemError(str(err), lineno, col) from None
-    ast = _parse_system(val, ring, lineno, col)
-
+    ast = _parse_system(*entries["system"], ring)
     if mode == "monomial":
         from .newton import DIMENSION_CAP
 
         if ast[0] != "pair":
-            raise ProblemError("monomial mode needs a single pair system", lineno, col)
+            raise ProblemError("monomial mode needs a single pair system", *entries["system"][1:])
         if not all(g.is_monomial() for g in ast[1]):
-            raise ProblemError("monomial mode needs monomial generators", lineno, col)
+            raise ProblemError("monomial mode needs monomial generators", *entries["system"][1:])
         if len(variables) > DIMENSION_CAP:
-            vars_line, vars_col, _ = entries["vars"]
-            raise ProblemError(
-                f"monomial mode supports at most {DIMENSION_CAP} variables", vars_line, vars_col
-            )
+            raise ProblemError(f"monomial mode supports at most {DIMENSION_CAP} variables", *entries["vars"][1:])
 
     return Problem(
         p=p,
@@ -506,7 +504,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
 
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(args.file, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as err:
         print(f"fsig: {err}", file=sys.stderr)

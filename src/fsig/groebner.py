@@ -14,8 +14,6 @@ from .poly import (
     PolyRing,
     Polynomial,
     ResourceLimitError,
-    monomial_div,
-    monomial_lcm,
 )
 
 DEFAULT_MAX_PAIRS = 40000
@@ -120,17 +118,6 @@ def _term_heap(f: Polynomial) -> Tuple[Dict[Exponents, int], List[Tuple[Tuple[in
                 work.pop(t, None)
 
     return work, heap, subtract
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
-    lcm = monomial_lcm(mf, mg)
-    inv_f = f.ring.field.inv(cf)
-    inv_g = g.ring.field.inv(cg)
-    return f.monomial_shift(monomial_div(lcm, mf), inv_f) - g.monomial_shift(
-        monomial_div(lcm, mg), inv_g
-    )
 
 
 def minimal_monomials(monos: Iterable[Exponents]) -> List[Exponents]:

@@ -2,7 +2,8 @@
 
 Nothing here calls the Groebner engine, the echelon backends, or the polytope
 pipeline: reduced bases come from a textbook Buchberger with no pair criterion,
-membership and lengths go through dense Macaulay-style elimination
+S-polynomials straight from two leading terms, membership and lengths
+go through dense Macaulay-style elimination
 on integer lists, areas through the shoelace formula, 3-D volumes through
 exact integration of slice areas, one-halfspace cube volumes through
 inclusion-exclusion over the cube's vertices, clip vertices through every
@@ -385,6 +386,14 @@ def plain_groebner(gens: Sequence[Dict[Tuple[int, ...], int]], p: int, cmp) -> s
         if not any(divides(lead(h), lead(g)) for h in minimal):
             minimal.append(g)
     return {frozenset(reduce(g, [h for h in minimal if h is not g]).items()) for g in minimal}
+
+
+def s_polynomial(f, g):
+    """The S-polynomial of two fsig Polynomials, formed from their leading terms alone."""
+    (mf, cf), (mg, cg) = f.leading_term(), g.leading_term()
+    lcm = tuple(map(max, mf, mg))
+    inv = f.ring.field.inv
+    return f.monomial_shift(tuple(map(sub, lcm, mf)), inv(cf)) - g.monomial_shift(tuple(map(sub, lcm, mg)), inv(cg))
 
 
 def repeated_product(terms: Dict[Tuple[int, ...], int], k: int, p: int):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,10 +238,21 @@ def test_main_rejects_monomial_mode_above_dimension_cap(tmp_path, capsys):
     assert main([str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "fsig: line 2, col 6: monomial mode supports at most 6 variables\n"
+    assert captured.err == "fsig: line 2, col 7: monomial mode supports at most 6 variables\n"
     assert "Traceback" not in captured.err
     six = "p = 3\nvars = a, b, c, d, e, f\nsystem = pair { a = [ a*b*c*d*e*f ], t = 1/2 }\nmode = monomial\n"
     assert parse_problem_file(six).variables == ("a", "b", "c", "d", "e", "f")
+
+
+def test_main_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.fsig", tmp_path / "marked.fsig"
+    plain.write_text(SNC, encoding="utf-8")
+    marked.write_text(SNC, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main([str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main([str(marked)]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -260,7 +272,8 @@ def test_main_rejects_vars_that_are_not_identifiers(tmp_path, capsys, names):
     assert main([str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "fsig: line 2, col 6: vars must be distinct non-empty identifiers\n"
+    col = 10 if names[3:] else 9  # the bad name, or where the empty name's chunk begins
+    assert captured.err == f"fsig: line 2, col {col}: vars must be distinct non-empty identifiers\n"
     assert "Traceback" not in captured.err
     six = "p = 3\nvars = a, b, c, d, e, f\nsystem = pair { a = [ a*f ], t = 1/2 }\nmode = signature\n"
     assert parse_problem_file(six).variables == ("a", "b", "c", "d", "e", "f")
@@ -316,6 +329,49 @@ def test_system_errors_name_the_column_of_their_text(system, message, part):
     with pytest.raises(ProblemError) as err:
         parse_problem_file(f"p = 3\nvars = x, y\n{line}\nmode = signature\n")
     assert str(err.value) == f"line 3, col {line.index(part)}: {message}"
+
+
+# (file line, message, the text the message is about): the line takes the place
+# of the base file's line for the same key (an indented key counts as another)
+# and goes last; the error is reported at that text's first column on it
+KEY_ERRORS = [
+    ("  bogus = 1", "unknown key 'bogus'", "bogus"),
+    ("  p = 5", "duplicate key 'p'", "p"),
+    ("  nothing here", "expected key = value", "nothing"),
+    ("p = x", "bad integer 'x'", "x"),
+    ("p = 4", "p = 4 is not prime", "4"),
+    ("vars = x, 2", "vars must be distinct non-empty identifiers", "2"),
+    ("vars = x, x  # again", "vars must be distinct non-empty identifiers", "x  #"),
+    ("vars = x,   # no name", "vars must be distinct non-empty identifiers", "   #"),
+    ("order = grlex", "unknown order 'grlex'", "grlex"),
+    ("mode = bogus", "unknown mode 'bogus'", "bogus"),
+    ("ceiling = up", "unknown ceiling convention 'up'", "up"),
+    ("emax = 0", "emax must be >= 1", "0"),
+    ("emax = two", "bad integer 'two'", "two"),
+    ("t_sweep = 0 : 1/4 : 1", "t_sweep only applies to monomial mode", "0 :"),
+    ("system = quotient { J = [ x^2 ] }", "monomial mode needs a single pair system", "quotient"),
+    ("system = pair { a = [ x + y ], t = 1 }", "monomial mode needs monomial generators", "pair"),
+]
+
+
+@pytest.mark.parametrize("line, message, part", KEY_ERRORS)
+def test_key_and_value_errors_name_the_column_of_their_text(line, message, part):
+    mode = "monomial" if line.startswith("system") else "signature"  # the system rows are monomial-mode checks
+    base = ["p = 3", "vars = x, y", "system = pair { a = [ x^2, y ], t = 1/2 }", f"mode = {mode}"]
+    lines = [kept for kept in base if kept.split("=")[0] != line.split("=")[0]] + [line]
+    assert line.count(part) == 1
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {len(lines)}, col {line.index(part)}: {message}"
+
+
+def test_key_errors_come_in_line_order_and_a_missing_key_goes_after_the_last_line():
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file("p = 3\nbogus = 1\nvars = x\nvars\n")
+    assert str(err.value) == "line 2, col 0: unknown key 'bogus'"
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file("p = 3\nvars = x, y\n\nmode = signature  # no system\n")
+    assert str(err.value) == "line 5, col 0: missing required key 'system'"
 
 
 @pytest.mark.parametrize("inner", ["quotient { J = [ 0 ] }", "quotient { J = [ x, 1 + y ] }", "pair { a = [x], t = -1 }"])
@@ -497,6 +553,14 @@ def test_fpure_mode_message(tmp_path, capsys):
     assert main([str(path)]) == 0
     out = capsys.readouterr().out
     assert "not F-pure up to emax=3" in out
+
+
+def test_readme_sample_problem_files_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [block for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S) if block.startswith("p =")]
+    assert blocks
+    for block in blocks:
+        parse_problem_file(block)
 
 
 def test_shipped_sample_problems_parse_and_run():

@@ -15,7 +15,6 @@ from fsig.groebner import (
     krull_dimension,
     normal_form,
     quotient_length,
-    s_polynomial,
     staircase_count,
 )
 from fsig.poly import DEGREVLEX, LEX, PolyRing, Polynomial, monomial_divides
@@ -28,6 +27,7 @@ from _oracles import (
     lex_cmp,
     macaulay_member,
     plain_groebner,
+    s_polynomial,
 )
 
 ORDER_CMPS = [
