@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -122,7 +123,7 @@ def _key_fields(inner: str, line: int, col: int) -> Dict[str, Tuple[str, int]]:
     fields: Dict[str, Tuple[str, int]] = {}
     for off, chunk in _split_top_level(inner, ","):
         if not chunk.strip():
-            continue
+            raise ProblemError("empty field", line, col + off)
         if "=" not in chunk:
             raise ProblemError(f"expected key = value in {chunk.strip()!r}", line, _strip(chunk, col + off)[1])
         key, val = chunk.split("=", 1)
@@ -215,8 +216,15 @@ def _parse_sweep(text: str, line: int, col: int) -> Tuple[Fraction, Fraction, Fr
 
 
 def parse_problem_file(text: str) -> Problem:
-    """Parse and semantically validate a problem file; a missing key is reported where it would go."""
-    lines = text.splitlines()
+    """Parse and semantically validate a problem file; a missing key is reported where it would go.
+
+    One leading byte-order mark is dropped.  A line ends at a line feed, a
+    carriage return or the pair of them, and at nothing else; a final line
+    ending starts no line.
+    """
+    lines = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
+    if not lines[-1]:
+        lines.pop()
     entries: Dict[str, Tuple[str, int, int]] = {}
     known = {"p", "vars", "order", "system", "mode", "emax", "t_sweep", "ceiling"}
     for lineno, raw in enumerate(lines, start=1):
@@ -504,7 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
 
     try:
-        with open(args.file, "r", encoding="utf-8-sig") as handle:
+        with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         print(f"fsig: {err}", file=sys.stderr)

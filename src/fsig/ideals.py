@@ -10,8 +10,9 @@ exact for a unit operand (no Buchberger run is spent ruling one out):
   standard monomials, on the rows of box_rows (below), yielding
   the reduced Groebner basis directly; covers m^[q] and the unit ideal
 * anything else              -> _colon_elimination, the chain
-  B_j = (1/f_j)(I cap f_j*B_{j-1}) from B_0 = S over the generators f_j of J,
-  one intersection each, no lone (I : f_j) formed (tests call it directly)
+  B_j = (1/f_j)(I cap f_j*B_{j-1}) from B_0 = S over the monic generators f_j
+  of J, one intersection each, no lone (I : f_j) formed; each B_j is a monic
+  minimal basis, and only B_k's is reduced (tests call it directly)
 
 Intersections and the tangent cone eliminate an auxiliary variable with
 groebner.eliminate, which reduces only the basis elements it keeps.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left
-from operator import lt, mul
+from operator import le, lt, mul, sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .groebner import (
@@ -43,14 +44,7 @@ from .groebner import (
     minimal_monomials,
     pure_power_box,
 )
-from .poly import (
-    Exponents,
-    InternalInvariantError,
-    Polynomial,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-)
+from .poly import Exponents, InternalInvariantError, Polynomial
 
 
 class ExactDivisionError(InternalInvariantError):
@@ -116,7 +110,7 @@ def intersection(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, [])
     if I.is_monomial() and J.is_monomial():
         gens = [
-            ring.monomial(monomial_lcm(a, b))
+            ring.monomial(tuple(map(max, a, b)))
             for a in minimal_monomials(m for g in I.generators for m in g.terms)
             for b in minimal_monomials(m for g in J.generators for m in g.terms)
         ]
@@ -177,9 +171,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         c = work.get(m)
         if c is None:
             continue
-        if not monomial_divides(lm_g, m):
+        if not all(map(le, lm_g, m)):
             raise ExactDivisionError(f"{g} does not divide {f}")
-        shift = monomial_div(m, lm_g)
+        shift = tuple(map(sub, m, lm_g))
         quo[shift] = c * inv % f.ring.p
         subtract(g, shift, quo[shift])
     return Polynomial(f.ring, quo, reduce=False)
@@ -214,22 +208,23 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) as the chain B_0 = S, B_j = (1/f_j)(I cap f_j*B_{j-1}) over J's generators.
+    """(I : J) as the chain B_0 = S, B_j = (1/f_j)(I cap f_j*B_{j-1}) over J's monic generators.
 
     g in B_{j-1} has g*f_j in I iff g*f_j lies in K = I cap f_j*B_{j-1}, and S
     is a domain, so B_j = K/f_j and B_k is the colon, after one intersection
-    per generator.  lm(g/f_j) = lm(g)/lm(f_j), so the monic quotients of K's
-    reduced basis are a minimal basis of B_j, by increasing lead;
-    _reduce_basis finishes it, and the result carries it.
+    per generator.  K's reduced basis is monic and sorted by lead, f_j is
+    monic and lm(g/f_j) = lm(g)/lm(f_j), so its quotients are a monic minimal
+    basis of B_j, by increasing lead; the chain carries them unreduced, and
+    one _reduce_basis of B_k's gives the reduced basis the result carries.
     """
     ring = I.ring
-    result = Ideal(ring, [ring.one()])
-    for f in J.generators:
-        K = intersection(I, Ideal(ring, [f * g for g in result.generators]))
-        quotients = [exact_divide(g, f).monic() for g in K.groebner_basis()]
-        gb = _reduce_basis(ring, [(g.leading_term()[0], g) for g in quotients])
-        result = Ideal(ring, gb.elements)
-        result.set_groebner_basis(gb)
+    quotients = [ring.one()]
+    for f in map(Polynomial.monic, J.generators):
+        K = intersection(I, Ideal(ring, [f * g for g in quotients]))
+        quotients = [exact_divide(g, f) for g in K.groebner_basis()]
+    gb = _reduce_basis(ring, [(g.leading_term()[0], g) for g in quotients])
+    result = Ideal(ring, gb.elements)
+    result.set_groebner_basis(gb)
     return result
 
 

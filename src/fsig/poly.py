@@ -11,7 +11,7 @@ turns into exit codes, and the ceiling conventions of a pair system.
 
 from __future__ import annotations
 
-from operator import add, attrgetter, le, neg, sub
+from operator import add, attrgetter, neg
 from typing import Dict, Tuple
 
 Exponents = Tuple[int, ...]
@@ -206,26 +206,6 @@ DEGREVLEX = TermOrder("degrevlex")
 LEX = TermOrder("lex")
 
 
-# -- monomial helpers (exponent tuples) --------------------------------------
-
-def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
-
-def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
-def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    if not all(map(le, b, a)):
-        raise ValueError(f"{b} does not divide {a}")
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 class PolyRing(FrozenRecord):
     """Ring handle: modulus, ordered variable names, the term order.
 
@@ -366,7 +346,7 @@ class Polynomial:
         out: Dict[Exponents, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
+                m = tuple(map(add, m1, m2))
                 v = (out.get(m, 0) + c1 * c2) % p
                 if v:
                     out[m] = v
@@ -407,7 +387,7 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(
             self.ring,
-            {monomial_mul(m, exps): (c * coeff) % p for m, c in self.terms.items()},
+            {tuple(map(add, m, exps)): (c * coeff) % p for m, c in self.terms.items()},
             reduce=False,
         )
 

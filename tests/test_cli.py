@@ -319,6 +319,11 @@ SYSTEM_ERRORS = [
     ("product [ pair [ a = [y], t = 1 ] ]", "pair needs {...}", "pair"),
     ("product [ cone { } ]", "unknown system kind in 'cone { }'", "cone"),
     ("product pair { a = [y], t = 1 }", "product needs [...]", "product"),
+    ("pair { a = [x], , t = 1/2 }", "empty field", " , t"),
+    ("pair { , a = [x], t = 1/2 }", "empty field", " , a"),
+    ("quotient { J = [x], }", "empty field", " }"),
+    ("pair { }", "empty field", " }"),
+    ("product [ quotient { J = [y] }, pair { a = [x],, t = 1/2 } ]", "empty field", ", t"),
 ]
 
 
@@ -372,6 +377,62 @@ def test_key_errors_come_in_line_order_and_a_missing_key_goes_after_the_last_lin
     with pytest.raises(ProblemError) as err:
         parse_problem_file("p = 3\nvars = x, y\n\nmode = signature  # no system\n")
     assert str(err.value) == "line 5, col 0: missing required key 'system'"
+
+
+def test_a_byte_order_mark_is_dropped_by_the_parser():
+    for text in (SNC, WHITNEY, MONOMIAL):
+        assert parse_problem_file("\ufeff" + text) == parse_problem_file(text)
+    # the mark takes no column: an error on line 1 is placed as it is without the mark
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file("\ufeff" + SNC.replace("p = 3", "p = 4"))
+    assert str(err.value) == "line 1, col 4: p = 4 is not prime"
+
+
+def test_lines_end_only_at_line_feeds_and_carriage_returns():
+    # a form feed inside a comment leaves the next line where an editor shows it
+    text = "p = 3\nvars = x, y\nsystem = pair { a = [x], t = 1/2 } # a\x0cb\nmode = bogus\n"
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file(text)
+    assert str(err.value) == "line 4, col 7: unknown mode 'bogus'"
+    # a final line ending starts no line, whichever it is, so a missing key stays after the last line
+    missing = "p = 3\nvars = x, y\n\nmode = signature"
+    for end, ending in (("", "\n"), ("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r")):
+        with pytest.raises(ProblemError) as err:
+            parse_problem_file(missing.replace("\n", ending) + end)
+        assert str(err.value) == "line 5, col 0: missing required key 'system'"
+    assert parse_problem_file(SNC.replace("\n", "\r\n")) == parse_problem_file(SNC)
+    assert parse_problem_file(SNC.replace("\n", "\r")) == parse_problem_file(SNC)
+
+
+def test_main_rejects_a_composite_modulus_with_no_small_factor(tmp_path, capsys):
+    # 1763 = 41 * 43 passes every trial division and is caught by Miller-Rabin's squaring loop
+    path = tmp_path / "big.fsig"
+    path.write_text(SNC.replace("p = 3", "p = 1763"))
+    assert main([str(path)]) == 1
+    assert capsys.readouterr() == ("", "fsig: line 1, col 4: p = 1763 is not prime\n")
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [("0 : 1", "t_sweep needs start:step:end"), ("1 : 1/2 : 0", "t_sweep needs 0 <= start <= end and step > 0")],
+)
+def test_t_sweep_shape_errors_name_the_column_of_the_value(sweep, message):
+    with pytest.raises(ProblemError) as err:
+        parse_problem_file(MONOMIAL + f"t_sweep = {sweep}\n")
+    assert str(err.value) == f"line 5, col 10: {message}"
+
+
+def test_prime_mode_reports_an_absent_candidate_as_null(tmp_path, capsys):
+    source = (Path(__file__).resolve().parent.parent / "problems" / "whitney_p2.fsig").read_text()
+    assert "mode = fpure" in source
+    path = tmp_path / "whitney_p2_prime.fsig"
+    path.write_text(source.replace("mode = fpure", "mode = prime"))
+    assert main([str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["f_pure"] is False
+    assert "prime_candidate" in doc and doc["prime_candidate"] is None
+    assert main([str(path)]) == 0
+    assert "prime_candidate = absent (not F-pure up to emax=3)\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("inner", ["quotient { J = [ 0 ] }", "quotient { J = [ x, 1 + y ] }", "pair { a = [x], t = -1 }"])

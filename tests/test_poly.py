@@ -16,6 +16,7 @@ from fsig.poly import (
     RingMismatchError,
     TermOrder,
     frobenius_power,
+    is_prime,
     poly_arith,
 )
 
@@ -33,6 +34,13 @@ def test_prime_field_rejects_composites():
         PrimeField(1)
     assert PrimeField(2).p == 2
     assert PrimeField(7919).inv(3) * 3 % 7919 == 1
+
+
+@pytest.mark.parametrize("n, prime", [(41, True), (2**61 - 1, True), (1763, False), (3215031751, False)])
+def test_is_prime_past_the_trial_divisors(n, prime):
+    # no factor up to 37, so each runs Miller-Rabin's squaring loop; 3215031751 is a
+    # strong pseudoprime to the bases 2, 3, 5 and 7 and is caught by a later base
+    assert is_prime(n) is prime
 
 
 def test_prime_field_term_order_and_ring_are_value_records():
