@@ -90,6 +90,13 @@ def _split_top_level(text: str, seps: str) -> List[Tuple[int, str]]:
     return parts
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits only, else ValueError: no `_`, no other digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_rational(text: str, line: int, col: int) -> Fraction:
     body, start = _strip(text, col)
     if not body:
@@ -97,8 +104,8 @@ def _parse_rational(text: str, line: int, col: int) -> Fraction:
     try:
         if "/" in body:
             num, den = body.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(body))
+            return Fraction(_ascii_int(num.strip()), _ascii_int(den.strip()))
+        return Fraction(_ascii_int(body))
     except (ValueError, ZeroDivisionError):
         raise ProblemError(f"bad rational {body!r}", line, start) from None
 
@@ -189,7 +196,7 @@ def _choice(text: str, line: int, col: int, choices, what: str) -> str:
 def _integer(text: str, line: int, col: int) -> int:
     body, start = _strip(text, col)
     try:
-        return int(body)
+        return _ascii_int(body)
     except ValueError:
         raise ProblemError(f"bad integer {body!r}", line, start) from None
 

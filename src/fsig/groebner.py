@@ -262,18 +262,20 @@ def _reduce_basis(ring: PolyRing, lead: List[Tuple[Exponents, Polynomial]]) -> G
 
 
 class Ideal:
-    """Finite generator list with a lazily cached reduced Groebner basis."""
+    """Finite generator list with one reduced Groebner basis: the GroebnerBasis it is built from, else computed lazily."""
 
     __slots__ = ("ring", "generators", "_gb")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
+        self._gb: Optional[GroebnerBasis] = generators if isinstance(generators, GroebnerBasis) else None
+        if self._gb is not None and self._gb.ring != ring:
+            raise ValueError("basis outside the ideal's ring")
         gens = tuple(g for g in generators if not g.is_zero())
         for g in gens:
             if g.ring != ring:
                 raise ValueError("generator outside the ideal's ring")
         self.ring = ring
         self.generators = gens
-        self._gb: Optional[GroebnerBasis] = None
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -285,13 +287,6 @@ class Ideal:
         if self._gb is None:
             self._gb = GroebnerBasis(self.ring, []) if self.is_zero() else buchberger(self.generators)
         return self._gb
-
-    def set_groebner_basis(self, gb: GroebnerBasis):
-        """Install a basis computed elsewhere (write-once)."""
-        if gb.ring != self.ring:
-            raise ValueError("basis outside the ideal's ring")
-        if self._gb is None:
-            self._gb = gb
 
     def is_proper(self) -> bool:
         gb = self.groebner_basis()

@@ -66,8 +66,6 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
     if n == 0:
         return Ideal(ring, [ring.one()])
     gens = I.generators
-    if not gens:
-        return Ideal(ring, [])
     if len(gens) == 1:
         return Ideal(ring, [gens[0] ** n])
     out = []
@@ -127,10 +125,8 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
     def lift(f: Polynomial) -> Polynomial:
         return Polynomial(ext, {(0,) + m: c for m, c in f.terms.items()}, reduce=False)
 
-    gb = eliminate(ring, [t * lift(g) for g in I.generators] + [(ext.one() - t) * lift(g) for g in J.generators])
-    result = Ideal(ring, gb.elements)
-    result.set_groebner_basis(gb)
-    return result
+    gens = [t * lift(g) for g in I.generators] + [(ext.one() - t) * lift(g) for g in J.generators]
+    return Ideal(ring, eliminate(ring, gens))
 
 
 def tangent_cone(I: Ideal) -> Ideal:
@@ -222,10 +218,7 @@ def _colon_elimination(I: Ideal, J: Ideal) -> Ideal:
     for f in map(Polynomial.monic, J.generators):
         K = intersection(I, Ideal(ring, [f * g for g in quotients]))
         quotients = [exact_divide(g, f) for g in K.groebner_basis()]
-    gb = _reduce_basis(ring, [(g.leading_term()[0], g) for g in quotients])
-    result = Ideal(ring, gb.elements)
-    result.set_groebner_basis(gb)
-    return result
+    return Ideal(ring, _reduce_basis(ring, [(g.leading_term()[0], g) for g in quotients]))
 
 
 def box_rows(
@@ -386,8 +379,5 @@ def _colon_zero_dim(I: Ideal, J: Ideal, box: List[int]) -> Ideal:
         else:
             gb_elems.append(Polynomial(ring, {labels[~k]: c for k, c in vec.items()}, reduce=False))
 
-    gb = GroebnerBasis(ring, gb_elems)
-    result = Ideal(ring, gb.elements)
-    result.set_groebner_basis(gb)
-    return result
+    return Ideal(ring, GroebnerBasis(ring, gb_elems))
 

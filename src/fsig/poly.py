@@ -379,17 +379,9 @@ class Polynomial:
         _, lc = self.leading_term()
         return self.scale(self.ring.field.inv(lc))
 
-    def monomial_shift(self, exps: Exponents, coeff: int = 1) -> "Polynomial":
-        """self * coeff*x^exps, cheaper than building the factor first."""
-        p = self.ring.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {tuple(map(add, m, exps)): (c * coeff) % p for m, c in self.terms.items()},
-            reduce=False,
-        )
+    def monomial_shift(self, exps: Exponents) -> "Polynomial":
+        """self * x^exps, cheaper than building the factor first."""
+        return Polynomial(self.ring, {tuple(map(add, m, exps)): c for m, c in self.terms.items()}, reduce=False)
 
     def frobenius(self, e: int) -> "Polynomial":
         """self**(p**e), via exponent scaling: coefficients in F_p are fixed."""
@@ -456,7 +448,8 @@ def frobenius_power(f: Polynomial, e: int) -> Polynomial:
 # -- parsing ------------------------------------------------------------
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit also takes digits that int() rejects
+_IDENT_CONT = _IDENT_START | _DIGITS
 
 
 def is_identifier(name: str) -> bool:
@@ -484,7 +477,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     def parse_int() -> int:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             pos += 1
         if pos == start:
             raise PolyParseError("expected an integer", start)
@@ -510,7 +503,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         skip_ws()
         coeff = None
         exps = [0] * ring.nvars
-        if pos < n and text[pos].isdigit():
+        if pos < n and text[pos] in _DIGITS:
             coeff = parse_int()
         saw_factor = False
         while True:

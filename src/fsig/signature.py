@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .groebner import Ideal, krull_dimension, normal_form, quotient_length
+from .groebner import Ideal, ideal_membership, krull_dimension, quotient_length
 from .ideals import bracket_power, colon, ideal_sum, tangent_cone
 from .poly import (
     FrozenRecord,
@@ -180,7 +180,6 @@ def _fit_tail(points: Sequence[Tuple[int, Fraction]], p: int) -> Tuple[Optional[
 def signature_sequence(
     sys: FGradedSystem,
     emax: int,
-    d: Optional[int] = None,
     method: str = "both",
     on_cap: str = "raise",
 ) -> SplittingReport:
@@ -193,8 +192,7 @@ def signature_sequence(
         raise ValueError("signature_sequence needs emax >= 1")
     ring = sys.ring
     p = ring.p
-    if d is None:
-        d = ratio_dimension(sys, Ideal(ring, []))
+    d = ratio_dimension(sys, Ideal(ring, []))
     rows: List[Row] = []
     partial = False
     notes: List[str] = []
@@ -272,9 +270,8 @@ def compatibility_check(
     transcript: List[str] = []
     for e in range(1, emax + 1):
         K = colon(bracket_power(C, e), C)
-        gb = K.groebner_basis()
         for g in sys.b_of(e).generators:
-            if not normal_form(g, gb).is_zero():
+            if not ideal_membership(g, K):
                 transcript.append(f"e={e}: generator {g} escapes (C^[p^{e}] : C)")
                 return False, transcript
         transcript.append(f"e={e}: b_e inside (C^[p^{e}] : C)")
@@ -294,12 +291,9 @@ def splitting_prime_candidate(
     value, with diagnostics.
     """
     diag: Dict[str, object] = {}
-    pure, witness = is_f_pure(sys, emax)
-    diag["f_pure"] = pure
-    if not pure:
+    if not is_f_pure(sys, emax)[0]:
         diag["reason"] = f"not F-pure up to emax={emax}"
         return None, diag
-    diag["witness"] = witness
     I_top = _memo_splitting_ideal(sys, emax)
     gb = I_top.groebner_basis()
     p = sys.ring.p
@@ -308,7 +302,6 @@ def splitting_prime_candidate(
         deg = g.total_degree()
         low = (deg < threshold_deg) if threshold_deg is not None else (2 * deg < p**emax)
         (kept if low else dropped).append(g)
-    diag["kept"] = [str(g) for g in kept]
     diag["dropped"] = [str(g) for g in dropped]
     C = Ideal(sys.ring, kept)
     if not C.is_proper():

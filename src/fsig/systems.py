@@ -39,8 +39,7 @@ class FGradedSystem:
             raise ValueError("b_of needs e >= 1")
         got = self._cache.get(e)
         if got is None:
-            got = self._compute(e)
-            self._cache.setdefault(e, got)  # write-once; recomputation must agree
+            got = self._cache[e] = self._compute(e)
         return got
 
     def _compute(self, e: int) -> Ideal:

@@ -393,7 +393,7 @@ def s_polynomial(f, g):
     (mf, cf), (mg, cg) = f.leading_term(), g.leading_term()
     lcm = tuple(map(max, mf, mg))
     inv = f.ring.field.inv
-    return f.monomial_shift(tuple(map(sub, lcm, mf)), inv(cf)) - g.monomial_shift(tuple(map(sub, lcm, mg)), inv(cg))
+    return f.monomial_shift(tuple(map(sub, lcm, mf))).scale(inv(cf)) - g.monomial_shift(tuple(map(sub, lcm, mg))).scale(inv(cg))
 
 
 def repeated_product(terms: Dict[Tuple[int, ...], int], k: int, p: int):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fsig import ResourceLimitError
 from fsig.cli import (
     Problem,
     ProblemError,
@@ -307,6 +308,8 @@ SYSTEM_ERRORS = [
     ("pair { a = [x], t = 1/0 }", "bad rational '1/0'", "1/0"),
     ("product [ pair { a = [y], t = 1/0 } ]", "bad rational '1/0'", "1/0"),
     ("product [ pair { a = [y], t = } ]", "expected a rational number", " }"),
+    ("pair { a = [x], t = \uff11/2 }", "bad rational '\uff11/2'", "\uff11/2"),  # a fullwidth one
+    ("pair { a = [x], t = 1/1_0 }", "bad rational '1/1_0'", "1/1_0"),
     ("product [ pair { a = [y], t = -1/2 } ]", "t must be nonnegative", "-1/2"),
     ("product [ pair { a = [y], t = 1 }, quotient { J = [ 0 ] } ]", "quotient system needs a non-zero ideal",
      "quotient"),
@@ -353,6 +356,7 @@ KEY_ERRORS = [
     ("ceiling = up", "unknown ceiling convention 'up'", "up"),
     ("emax = 0", "emax must be >= 1", "0"),
     ("emax = two", "bad integer 'two'", "two"),
+    ("emax = \uff13", "bad integer '\uff13'", "\uff13"),  # a fullwidth three
     ("t_sweep = 0 : 1/4 : 1", "t_sweep only applies to monomial mode", "0 :"),
     ("system = quotient { J = [ x^2 ] }", "monomial mode needs a single pair system", "quotient"),
     ("system = pair { a = [ x + y ], t = 1 }", "monomial mode needs monomial generators", "pair"),
@@ -402,6 +406,22 @@ def test_lines_end_only_at_line_feeds_and_carriage_returns():
         assert str(err.value) == "line 5, col 0: missing required key 'system'"
     assert parse_problem_file(SNC.replace("\n", "\r\n")) == parse_problem_file(SNC)
     assert parse_problem_file(SNC.replace("\n", "\r")) == parse_problem_file(SNC)
+
+
+@pytest.mark.parametrize(
+    "p, poly, error",
+    [
+        ("1_3", "x^2 - y^3", "line 1, col 4: bad integer '1_3'"),
+        ("3", "x^\u00b2 - y^3", "line 3, col 28: expected an integer"),
+        ("3", "\u00b2x - y^3", "line 3, col 26: expected a term"),
+    ],
+)
+def test_main_rejects_digits_outside_ascii(tmp_path, capsys, p, poly, error):
+    # int() reads 1_3 as 13 and str.isdigit takes a superscript two: neither is a digit of the grammar
+    path = tmp_path / "digits.fsig"
+    path.write_text(f"p = {p}\nvars = x, y\nsystem = quotient {{ J = [ {poly} ] }}\nmode = signature\n", encoding="utf-8")
+    assert main([str(path)]) == 1
+    assert capsys.readouterr() == ("", f"fsig: {error}\n")
 
 
 def test_main_rejects_a_composite_modulus_with_no_small_factor(tmp_path, capsys):
@@ -585,6 +605,23 @@ def test_main_exits_3_when_a_level_runs_out_of_memory(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "run", exhausted)
     assert main([str(path)]) == 3
     assert capsys.readouterr().err == "fsig: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "error, message", [(ResourceLimitError("synthetic cap"), "resource cap: synthetic cap"), (MemoryError(), "out of memory")]
+)
+def test_a_cap_before_the_level_loop_exits_3_with_no_report(tmp_path, capsys, monkeypatch, error, message):
+    # d is computed before any level, so a cap there reaches main, which prints no partial report
+    from fsig import signature as sig
+
+    def capped(sys_obj, C):
+        raise error
+
+    path = tmp_path / "snc.fsig"
+    path.write_text(SNC)
+    monkeypatch.setattr(sig, "ratio_dimension", capped)
+    assert main([str(path)]) == 3
+    assert capsys.readouterr() == ("", f"fsig: {message}\n")
 
 
 def test_rank_route_under_a_basis_cap_ends_partial(tmp_path, capsys, monkeypatch):

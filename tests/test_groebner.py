@@ -319,12 +319,13 @@ def test_groebner_basis_is_cached_and_sorted_by_lead(order, cmp):
     leads = gb.leading_monomials()
     assert leads == tuple(max(g.terms, key=cmp_to_key(cmp)) for g in gb)
     assert _ascending(leads, cmp)
-    # the slot is write-once and holds only a basis of the ideal's ring
-    I.set_groebner_basis(GroebnerBasis(R, [R.one()]))
-    assert I.groebner_basis() is gb
+    # an ideal built from a basis carries it, and only a basis of its own ring
+    assert Ideal(R, gb).groebner_basis() is gb
     other = PolyRing.make(3, ["x", "y", "z"], LEX if order == DEGREVLEX else DEGREVLEX)
     with pytest.raises(ValueError):
-        Ideal(R, [R.parse("x")]).set_groebner_basis(GroebnerBasis(other, [other.parse("x")]))
+        Ideal(R, GroebnerBasis(other, [other.parse("x")]))
+    with pytest.raises(ValueError):
+        Ideal(R, GroebnerBasis(other, []))
 
 
 @pytest.mark.parametrize("order, cmp", ORDER_CMPS)

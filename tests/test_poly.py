@@ -174,6 +174,18 @@ def test_parse_errors_carry_position():
         R.parse("")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x^\u00b2", "expected an integer", 2),  # a superscript two, which str.isdigit accepts and int rejects
+    ("\u00b2x", "expected a term", 0),
+    ("\uff13x", "expected a term", 0),  # a fullwidth three
+    ("x^1_0", "unknown variable '_0'", 3),  # int() would read 1_0 as 10; here _0 is a name
+])
+def test_parse_takes_ascii_digits_only(text, message, position):
+    with pytest.raises(PolyParseError) as err:
+        ring3().parse(text)
+    assert (err.value.message, err.value.position) == (message, position)
+
+
 def test_arith_examples():
     R5 = PolyRing.make(5, ["x", "y"])
     f = R5.parse("x + y")

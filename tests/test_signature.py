@@ -92,6 +92,15 @@ def test_splitting_number_methods_agree_separately():
         splitting_number(wh, 1, method="bogus")
 
 
+def test_both_methods_fail_hard_when_the_routes_disagree(monkeypatch):
+    # a_2 = 5 by the basis route; a rank route off by one must not be averaged or dropped
+    _, wh = whitney()
+    monkeypatch.setattr(signature, "_splitting_number_rank", lambda sys_obj, e: 6)
+    with pytest.raises(signature.MethodDisagreement) as err:
+        splitting_number(wh, 2, method="both")
+    assert str(err.value) == "a_2: basis route gave 5, rank route gave 6"
+
+
 def test_snc_closed_form_all_levels():
     # the product-of-floors count for t = (1/2, 1/2) at p = 3
     _, snc = snc_half_half()
@@ -121,13 +130,6 @@ def test_whitney_estimate_clamped_into_unit_interval():
     rep = signature_sequence(wh, 4, method="groebner")
     assert 0 <= rep.estimate <= 1
     assert abs(rep.estimate - Fraction(-5, 4374)) <= rep.error_envelope
-
-
-def test_signature_sequence_dimension_override():
-    _, wh = whitney()
-    rep = signature_sequence(wh, 1, d=3)
-    assert rep.d == 3
-    assert rep.rows[0].s_e == Fraction(2, 27)
 
 
 def test_twisted_cubic_reaches_e3_at_the_default_caps():
@@ -284,6 +286,16 @@ def test_splitting_ratio_infeasible_without_purity():
     _, wh2 = whitney(p=2)
     with pytest.raises(InfeasibleError):
         splitting_ratio(wh2, 3)
+
+
+def test_splitting_ratio_rejects_a_ratio_above_one(monkeypatch):
+    # with d' forced to 0 at the candidate <x, y>, r_1 = a_1 = 2, which no splitting prime allows
+    _, wh = whitney()
+    ratio_dimension = signature.ratio_dimension
+    monkeypatch.setattr(signature, "ratio_dimension", lambda sys_obj, C: 0 if C.generators else ratio_dimension(sys_obj, C))
+    with pytest.raises(InfeasibleError) as err:
+        splitting_ratio(wh, 2)
+    assert str(err.value) == "r_1 = 2 outside (0, 1]; candidate is not the splitting prime"
 
 
 def test_nesting_when_level_one_splits():
