@@ -97,6 +97,14 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+def _flag_int(text: str) -> int:
+    """An integer flag's value, read by the file's digit rule; argparse names the flag in the error."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_rational(text: str, line: int, col: int) -> Fraction:
     body, start = _strip(text, col)
     if not body:
@@ -325,29 +333,19 @@ def run(problem: Problem) -> RunResult:
 
     system = problem.system()
     if problem.mode == "ratio":
-        report = splitting_ratio(
-            system,
-            problem.emax,
-            method=problem.method,
-            threshold_deg=problem.threshold_deg,
-            on_cap="partial",
-        )
+        report = splitting_ratio(system, problem.emax, method=problem.method, threshold_deg=problem.threshold_deg)
         return RunResult(problem, report=report)
     if problem.mode == "prime":
         candidate, diag = splitting_prime_candidate(
             system, problem.emax, problem.threshold_deg
         )
-        report = signature_sequence(
-            system, problem.emax, method=problem.method, on_cap="partial"
-        )
+        report = signature_sequence(system, problem.emax, method=problem.method)
         report.prime_candidate = candidate
         transcript = tuple(diag.get("compatibility", ()))
         reason = None if candidate is not None else str(diag.get("reason"))
         return RunResult(problem, report=report, transcript=transcript,
                          candidate_absent_reason=reason)
-    report = signature_sequence(
-        system, problem.emax, method=problem.method, on_cap="partial"
-    )
+    report = signature_sequence(system, problem.emax, method=problem.method)
     return RunResult(problem, report=report)
 
 
@@ -420,9 +418,8 @@ def _emit_table(result: RunResult) -> str:
         lines.append(f"d' = {report.ratio_dimension}")
         for e, r_e in report.ratio_rows:
             lines.append(f"{e} | r_e = {_frac(r_e)} ≈ {_decimal6(r_e)}")
-        lines.append(
-            f"ratio_estimate = {_frac(report.ratio_estimate)} ≈ {_decimal6(report.ratio_estimate)}"
-        )
+        if report.ratio_estimate is not None:  # none when a cap ends the run before any a_e != 0
+            lines.append(f"ratio_estimate = {_frac(report.ratio_estimate)} ≈ {_decimal6(report.ratio_estimate)}")
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"partial = {'true' if report.partial else 'false'}")
@@ -503,10 +500,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("file", help="problem file")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    parser.add_argument("--emax", type=int, default=None, help="override the file's emax")
-    parser.add_argument(
-        "--threshold-deg", type=int, default=None, help="degree cut for prime extraction"
-    )
+    parser.add_argument("--emax", type=_flag_int, default=None, help="override the file's emax")
+    parser.add_argument("--threshold-deg", type=_flag_int, default=None, help="degree cut for prime extraction")
     parser.add_argument(
         "--method",
         choices=("groebner", "linear", "both"),

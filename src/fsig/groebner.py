@@ -16,8 +16,10 @@ from .poly import (
     ResourceLimitError,
 )
 
-DEFAULT_MAX_PAIRS = 40000
-DEFAULT_MAX_BASIS = 300
+# Caps of every Buchberger run, elimination included: S-pairs reduced, live
+# basis elements.  Each run reads them once, when it starts.
+MAX_PAIRS = 40000
+MAX_BASIS = 300
 
 INFINITE = math.inf
 
@@ -149,11 +151,7 @@ def pure_power_box(monos: Sequence[Exponents], n: int) -> Optional[List[int]]:
     return box
 
 
-def buchberger(
-    gens: Sequence[Polynomial],
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_basis: int = DEFAULT_MAX_BASIS,
-) -> GroebnerBasis:
+def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis under the ring's order: _minimal_basis, then _reduce_basis.
 
     Monomial generators are only minimalized, with no reduction pass.  The
@@ -169,7 +167,7 @@ def buchberger(
         # monomial ideals are their own reduced basis after minimalization
         mins = minimal_monomials(m for g in gens for m in g.terms)
         return GroebnerBasis(ring, [ring.monomial(m) for m in mins])
-    return _reduce_basis(ring, _minimal_basis(ring, gens, max_pairs, max_basis))
+    return _reduce_basis(ring, _minimal_basis(ring, gens))
 
 
 def eliminate(ring: PolyRing, gens: Sequence[Polynomial]) -> GroebnerBasis:
@@ -179,17 +177,17 @@ def eliminate(ring: PolyRing, gens: Sequence[Polynomial]) -> GroebnerBasis:
     so the minimal elements with such leads are a minimal basis of the
     elimination ideal (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
     3.1).  Only they are projected into ring and reduced, which gives the
-    same reduced basis as the t-free part of buchberger(gens), at its caps.
+    same reduced basis as the t-free part of buchberger(gens), at the same caps.
     """
     ext = ring.extended()
     if any(g.ring != ext for g in gens):
         raise ValueError("eliminate: generators outside ring.extended()")
-    lead = _minimal_basis(ext, [g for g in gens if not g.is_zero()], DEFAULT_MAX_PAIRS, DEFAULT_MAX_BASIS)
+    lead = _minimal_basis(ext, [g for g in gens if not g.is_zero()])
     kept = [(lm[1:], Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, reduce=False)) for lm, g in lead if not lm[0]]
     return _reduce_basis(ring, kept)
 
 
-def _minimal_basis(ring: PolyRing, gens: List[Polynomial], max_pairs: int, max_basis: int) -> List[Tuple[Exponents, Polynomial]]:
+def _minimal_basis(ring: PolyRing, gens: List[Polynomial]) -> List[Tuple[Exponents, Polynomial]]:
     """Minimal Groebner basis of the non-zero gens: monic (lead, g) pairs by increasing lead.
 
     Gebauer-Moeller update (J. Symbolic Comput. 6, 1988), once per inserted h:
@@ -200,6 +198,7 @@ def _minimal_basis(ring: PolyRing, gens: List[Polynomial], max_pairs: int, max_b
     by decreasing lead).  Normal selection (smallest lcm, then indices) off a
     heap that skips deleted pairs.
     """
+    max_pairs, max_basis = MAX_PAIRS, MAX_BASIS
     key = ring.order.key
     elems: List[Tuple[Exponents, Polynomial]] = []  # every inserted element, by index
     live: List[int] = []  # indices of the minimal basis, in insertion order

@@ -88,7 +88,10 @@ class FrozenRecord(Record):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured pair/basis cap was hit; distinct from any mathematical failure."""
+    """A Buchberger cap (groebner.MAX_PAIRS or MAX_BASIS) was hit; distinct from any mathematical failure.
+
+    Inside a level of signature_sequence it ends the report, marked partial.
+    """
 
     def __init__(self, message: str, pairs_done: int = 0, basis_size: int = 0):
         super().__init__(message)
@@ -249,11 +252,11 @@ class PolyRing(FrozenRecord):
         exps[idx] = 1
         return Polynomial(self, {tuple(exps): 1})
 
-    def monomial(self, exps, coeff: int = 1) -> "Polynomial":
+    def monomial(self, exps) -> "Polynomial":
         exps = tuple(exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps}")
-        return Polynomial(self, {exps: coeff})
+        return Polynomial(self, {exps: 1})
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)

@@ -177,16 +177,11 @@ def _fit_tail(points: Sequence[Tuple[int, Fraction]], p: int) -> Tuple[Optional[
     return clamped, abs(c) / p**emax + abs(L - clamped)
 
 
-def signature_sequence(
-    sys: FGradedSystem,
-    emax: int,
-    method: str = "both",
-    on_cap: str = "raise",
-) -> SplittingReport:
+def signature_sequence(sys: FGradedSystem, emax: int, method: str = "both") -> SplittingReport:
     """Rows (e, a_e, a_e/p^{ed}) for e = 1..emax with a geometric-tail estimate.
 
-    on_cap="partial" turns a resource cap, or a level that runs out of
-    memory, into a truncated report marked partial instead of an exception.
+    A level that hits a resource cap or runs out of memory ends the report
+    there, marked partial, with the reason in its notes.
     """
     if emax < 1:
         raise ValueError("signature_sequence needs emax >= 1")
@@ -194,15 +189,11 @@ def signature_sequence(
     p = ring.p
     d = ratio_dimension(sys, Ideal(ring, []))
     rows: List[Row] = []
-    partial = False
     notes: List[str] = []
     for e in range(1, emax + 1):
         try:
             a_e = splitting_number(sys, e, method=method)
         except (ResourceLimitError, MemoryError) as err:
-            if on_cap != "partial":
-                raise
-            partial = True
             cause = f"resource cap at e={e}: {err}"
             if isinstance(err, MemoryError):
                 cause = f"out of memory at e={e}"
@@ -224,7 +215,7 @@ def signature_sequence(
         index=index,
         f_pure=bool(gamma),
         witness=min(gamma) if gamma else None,
-        partial=partial,
+        partial=bool(notes),
         notes=tuple(notes),
     )
 
@@ -331,18 +322,20 @@ def splitting_ratio(
     emax: int,
     method: str = "both",
     threshold_deg: Optional[int] = None,
-    on_cap: str = "raise",
 ) -> SplittingReport:
     """Signature report extended with ratio rows a_e / p^{e d'}.
 
     Requires a prime candidate; such a candidate with a_e positive forces
     every observed ratio into (0, 1], and a violation aborts the run because
-    it certifies the candidate was not the right normalizing locus.
+    it certifies the candidate was not the right normalizing locus.  A capped
+    level ends the report partial, as in signature_sequence; the ratio rows
+    cover the completed levels, and there is no ratio estimate if none of
+    them has a_e != 0.
     """
     candidate, diag = splitting_prime_candidate(sys, emax, threshold_deg)
     if candidate is None:
         raise InfeasibleError(f"no splitting prime candidate: {diag.get('reason')}")
-    report = signature_sequence(sys, emax, method=method, on_cap=on_cap)
+    report = signature_sequence(sys, emax, method=method)
     d_prime = ratio_dimension(sys, candidate)
     p = report.p
     ratio_rows = tuple(

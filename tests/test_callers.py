@@ -1,4 +1,4 @@
-"""Code with no caller outside itself is deleted.
+"""Code with no caller outside itself is deleted, and so is a setting no caller sets.
 
 Every module-level function and class in src/fsig, and every method of such
 a class that is not a dunder, must be named, as a whole word, somewhere in
@@ -6,6 +6,12 @@ src/, tests/ or perfbench/ outside its own definition.  A match is textual
 but skips comments and docstrings, so a name that only prose mentions
 counts as having no caller; a string in code (a monkeypatched attribute,
 say) still counts.
+
+Every parameter with a default, of such a function or method (__init__
+included), must be passed by at least one call inside src/fsig: by keyword,
+at its position, or by a *args at or before it.  A call matches by the name
+it calls (a class name for __init__), so a setting that only tests change
+fails the check.
 """
 
 import ast
@@ -20,15 +26,45 @@ SEARCHED = ("src", "tests", "perfbench")
 
 
 def _definitions(tree):
+    yield from (node for node in tree.body if isinstance(node, ast.ClassDef))
+    for _, fn in _functions(tree):
+        if not (fn.name.startswith("__") and fn.name.endswith("__")):
+            yield fn
+
+
+# the console script calls main() with no argument
+ENTRY_POINTS = {("cli.py", "main", "argv")}
+
+
+def _functions(tree):
+    """(owner class or None, function) for every module-level function and every method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield None, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    yield item
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node, item
+
+
+def _defaulted(owner, fn):
+    """(called name, [(parameter, position in a call or None)]) for fn's parameters with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    skip = 0 if owner is None or static else 1  # self or cls is not in the call
+    first = len(positional) - len(args.defaults)
+    params = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return (owner.name if fn.name == "__init__" else fn.name), params
+
+
+def _passes(call, name, position):
+    if any(k.arg == name for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) or i == position for i, a in enumerate(call.args[: position + 1]))
 
 
 def _span(node):
@@ -75,3 +111,25 @@ def test_every_definition_has_a_caller_outside_itself():
             ):
                 orphans.append(f"{src.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not orphans, "defined but never referenced: " + ", ".join(orphans)
+
+
+def test_every_default_is_passed_by_some_call_in_the_package():
+    sources = sorted(PACKAGE.glob("*.py"))
+    trees = {src: ast.parse(src.read_text(encoding="utf-8")) for src in sources}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for src, tree in trees.items():
+        for owner, fn in _functions(tree):
+            called, params = _defaulted(owner, fn)
+            for param, position in params:
+                if (src.name, fn.name, param) in ENTRY_POINTS:
+                    continue
+                if not any(_passes(call, param, position) for call in calls.get(called, ())):
+                    unset.append(f"{src.relative_to(ROOT)}:{fn.lineno} {fn.name}({param})")
+    assert not unset, "defaults no call in src/fsig passes: " + ", ".join(unset)

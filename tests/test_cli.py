@@ -493,6 +493,20 @@ def test_main_exits_1_on_a_bad_flag(tmp_path, capsys, flags):
     assert capsys.readouterr().out.startswith("usage: fsig")
 
 
+def test_integer_flags_follow_the_file_digit_rule(tmp_path, capsys):
+    # a sign and ASCII digits only, as for an integer in the problem file
+    path = tmp_path / "snc.fsig"
+    path.write_text(SNC)
+    for flag in ("--emax", "--threshold-deg"):
+        for value in ("1_2", "\uff12", " 2"):
+            assert main([str(path), flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {flag}: invalid int value: {value!r}" in captured.err
+    assert main([str(path), "--emax", "4", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+
+
 def test_main_method_flag(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)
@@ -578,6 +592,25 @@ def test_partial_report_marked_in_json(monkeypatch):
     assert "partial = true" in text
 
 
+def test_ratio_report_capped_before_any_nonzero_level_ends_partial(capsys, monkeypatch):
+    # a cap at every level leaves no a_e != 0 and so no ratio estimate: the
+    # table leaves out its line, as the JSON report prints nulls
+    from fsig import signature as sig
+
+    def capped(sys_obj, e, method="both"):
+        raise ResourceLimitError("synthetic cap")
+
+    path = Path(__file__).resolve().parent.parent / "problems" / "whitney.fsig"
+    monkeypatch.setattr(sig, "splitting_number", capped)
+    assert main([str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "ratio_estimate" not in out
+    assert "note: resource cap at e=1: synthetic cap; largest completed e=0\npartial = true\n" in out
+    assert main([str(path), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["partial"], doc["rows"], doc["ratio_rows"], doc["estimate_num"]) == (True, [], [], None)
+
+
 def test_main_exits_3_when_a_level_runs_out_of_memory(tmp_path, capsys, monkeypatch):
     # a level that raises MemoryError gives the partial report and exit 3, not
     # a traceback; one raised outside the sequence exits 3 with a message
@@ -634,7 +667,7 @@ def test_rank_route_under_a_basis_cap_ends_partial(tmp_path, capsys, monkeypatch
     path.write_text("p = 5\nvars = a, b\nsystem = pair { a = [ a^3 - b^2 ], t = 1/2 }\nmode = signature\nemax = 3\n")
     assert main([str(path), "--method", "linear", "--json"]) == 0
     assert [row["a_e"] for row in json.loads(capsys.readouterr().out)["rows"]] == [7, 117, 2667]
-    monkeypatch.setattr(groebner.buchberger, "__defaults__", (groebner.DEFAULT_MAX_PAIRS, 10))
+    monkeypatch.setattr(groebner, "MAX_BASIS", 10)
     assert main([str(path), "--method", "linear", "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["partial"] is True

@@ -156,22 +156,25 @@ def test_krull_dimension_examples():
         krull_dimension(Ideal(R, [R.one()]))
 
 
-def test_resource_cap_is_distinct_error():
+def test_resource_cap_is_distinct_error(monkeypatch):
     R = ring3()
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
     with pytest.raises(ResourceLimitError):
-        buchberger([R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")], max_pairs=1)
+        buchberger([R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")])
 
 
 @pytest.mark.parametrize("caps, pairs_done, basis_size", [
-    ({"max_basis": 5}, 4, 6),
-    ({"max_pairs": 7}, 8, 6),
+    ({"MAX_BASIS": 5}, 4, 6),
+    ({"MAX_PAIRS": 7}, 8, 6),
 ])
-def test_resource_cap_trips_at_pinned_pair(caps, pairs_done, basis_size):
+def test_resource_cap_trips_at_pinned_pair(caps, pairs_done, basis_size, monkeypatch):
     # the pair order (smallest lcm, then smallest indices) decides where a cap trips
     R = ring3()
     gens = [R.parse("x^2 + y*z"), R.parse("y^2 + x*z"), R.parse("z^2 + x*y")]
+    for name, value in caps.items():
+        monkeypatch.setattr(groebner, name, value)
     with pytest.raises(ResourceLimitError) as err:
-        buchberger(gens, **caps)
+        buchberger(gens)
     assert (err.value.pairs_done, err.value.basis_size) == (pairs_done, basis_size)
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from _oracles import colon_by_quotients
+from fsig import groebner
 from fsig.groebner import Ideal, buchberger, ideal_membership, krull_dimension
 from fsig.ideals import (
     ExactDivisionError,
@@ -18,7 +19,7 @@ from fsig.ideals import (
     tangent_cone,
 )
 from fsig.ideals import _colon_elimination, _intersection_elimination
-from fsig.poly import DEGREVLEX, LEX, PolyRing, Polynomial
+from fsig.poly import DEGREVLEX, LEX, PolyRing, Polynomial, ResourceLimitError
 
 
 def ring3(p=3):
@@ -89,6 +90,18 @@ def test_intersection_examples():
     one = Ideal(R, [R.one()])
     I = Ideal(R, [R.parse("x^2 + y*z")])
     assert ideal_equals(intersection(I, one), I)
+
+
+def test_intersection_elimination_stops_at_the_pair_cap(monkeypatch):
+    # two non-monomial ideals meet by eliminate, which reads buchberger's caps
+    R = ring3()
+    I = Ideal(R, [R.parse("x^2 + y*z")])
+    J = Ideal(R, [R.parse("y^2 + x*z")])
+    assert ideal_equals(intersection(I, J), ideal_product(I, J))
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
+    with pytest.raises(ResourceLimitError) as err:
+        intersection(I, J)
+    assert err.value.pairs_done == 2
 
 
 def test_intersection_elimination_matches_monomial_path():

@@ -134,7 +134,7 @@ def test_whitney_estimate_clamped_into_unit_interval():
 
 def test_twisted_cubic_reaches_e3_at_the_default_caps():
     # the basis cap counts the live minimal basis, so b_3 = (J^[27] : J) builds
-    # within DEFAULT_MAX_BASIS; a_e = q^2/3
+    # within MAX_BASIS; a_e = q^2/3
     R = PolyRing.make(3, ["x", "y", "z", "w"])
     J = Ideal(R, [R.parse("x*z - y^2"), R.parse("x*w - y*z"), R.parse("y*w - z^2")])
     rep = signature_sequence(QuotientSystem(R, J), 3)
@@ -383,7 +383,6 @@ def test_sequence_partial_on_cap(monkeypatch):
     from fsig.groebner import ResourceLimitError
 
     _, wh = whitney()
-    calls = {"n": 0}
     original = sig.splitting_number
 
     def capped(sys_obj, e, method="both"):
@@ -392,11 +391,10 @@ def test_sequence_partial_on_cap(monkeypatch):
         return original(sys_obj, e, method)
 
     monkeypatch.setattr(sig, "splitting_number", capped)
-    rep = sig.signature_sequence(wh, 3, on_cap="partial")
+    rep = sig.signature_sequence(wh, 3)
     assert rep.partial
     assert len(rep.rows) == 1
-    with pytest.raises(ResourceLimitError):
-        sig.signature_sequence(wh, 3, on_cap="raise")
+    assert rep.notes == ("resource cap at e=2: synthetic cap; largest completed e=1",)
 
 
 def test_sequence_partial_on_memory_error(monkeypatch):
@@ -412,12 +410,10 @@ def test_sequence_partial_on_memory_error(monkeypatch):
         return original(sys_obj, e, method)
 
     monkeypatch.setattr(sig, "splitting_number", starved)
-    rep = sig.signature_sequence(wh, 3, on_cap="partial")
+    rep = sig.signature_sequence(wh, 3)
     assert rep.partial
     assert [r.e for r in rep.rows] == [1]
     assert rep.notes == ("out of memory at e=2; largest completed e=1",)
-    with pytest.raises(MemoryError):
-        sig.signature_sequence(wh, 3, on_cap="raise")
 
 
 def _pair(R, text, t):
@@ -722,7 +718,7 @@ def test_descent_certificate_under_a_buchberger_cap(monkeypatch):
     assert BoxWalk(Bracketed(R, b1)).descends(2)
     sys_ = Bracketed(R, Ideal(R, b1.generators))
     walk = BoxWalk(sys_)
-    monkeypatch.setattr(groebner.buchberger, "__defaults__", (1, groebner.DEFAULT_MAX_BASIS))
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
     with pytest.raises(ResourceLimitError):
         sys_.b_of(1).groebner_basis()
     assert not walk.descends(2)
@@ -836,7 +832,7 @@ def test_monomial_rank_route_counts_union_of_boxes_randomized():
             exps.append(tuple(u + rng.randint(0, 2) for u in m))
         if rng.random() < 0.5:  # a duplicate generator
             exps.append(rng.choice(exps))
-        gens = [R.monomial(m, rng.randint(1, p - 1)) for m in exps]
+        gens = [R.monomial(m).scale(rng.randint(1, p - 1)) for m in exps]
         got = _splitting_number_rank(_FixedSystem(R, Ideal(R, gens)), e)
         assert got == union_of_boxes_count([tuple(q - u for u in m) for m in exps]), (p, e, exps)
         row = box_rows([q] * n, [g.terms for g in gens])
