@@ -100,7 +100,7 @@ def _ascii_int(text: str) -> int:
 def _flag_int(text: str) -> int:
     """An integer flag's value, read by the file's digit rule; argparse names the flag in the error."""
     try:
-        return _ascii_int(text)
+        return _ascii_int(text.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

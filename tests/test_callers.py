@@ -27,8 +27,8 @@ SEARCHED = ("src", "tests", "perfbench")
 
 def _definitions(tree):
     yield from (node for node in tree.body if isinstance(node, ast.ClassDef))
-    for _, fn in _functions(tree):
-        if not (fn.name.startswith("__") and fn.name.endswith("__")):
+    for owner, fn in _functions(tree):
+        if owner is None or not (fn.name.startswith("__") and fn.name.endswith("__")):
             yield fn
 
 

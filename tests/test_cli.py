@@ -498,13 +498,15 @@ def test_integer_flags_follow_the_file_digit_rule(tmp_path, capsys):
     path = tmp_path / "snc.fsig"
     path.write_text(SNC)
     for flag in ("--emax", "--threshold-deg"):
-        for value in ("1_2", "\uff12", " 2"):
+        for value in ("1_2", "\uff12", " "):
             assert main([str(path), flag, value]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"argument {flag}: invalid int value: {value!r}" in captured.err
     assert main([str(path), "--emax", "4", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+    assert main([str(path), "--emax", " 2 ", "--json"]) == 0  # blanks around the digits, as in the file
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 2
 
 
 def test_main_method_flag(tmp_path, capsys):
